@@ -5,7 +5,10 @@
     and may at any point declare an output. The engine drives [n] copies in
     lock step. Purity (no shared mutable state between parties) is what
     makes executions reproducible and lets the adversary be maximally
-    powerful without cheating. *)
+    powerful without cheating. The one exception is a cache whose
+    answers depend only on its key, which no party can observe:
+    gradecast's [Multi.memo] shares round-3 tallies between the parties
+    of a run. *)
 
 type ('state, 'msg, 'out) t = {
   name : string;

@@ -50,11 +50,48 @@ module Multi : sig
 
   type 'v state
 
+  type 'v memo
+  (** Round-3 tallies shared by the parties of one run. In round 3 every
+      party takes the per-leader plurality of its stored echo rows (to
+      vote) and of its vote rows (to grade): Θ(n²) each, Θ(n³) across
+      parties. The parties of a run store the same broadcast rows, so the
+      memo keeps the last table's row pointers with its tallies and hands
+      them to any party whose table holds the same rows, physically — an
+      O(n) check. Any other table is tallied afresh and becomes the new
+      snapshot. The [n - t] and [t + 1] thresholds stay per party.
+
+      {b Contract.} A hit is correct only because a row is never mutated
+      after it is posted: honest senders build a fresh row per round and
+      no reader writes to a stored row. An adversary forging [Echo] or
+      [Vote] payloads must likewise hand over fresh rows and leave them
+      alone afterwards. Under that contract sharing a memo is
+      unobservable: outputs, messages and rounds are those of a memo per
+      party. Snapshots are published atomically, so a memo may also be
+      shared by runs on different domains. *)
+
+  val memo : unit -> 'v memo
+  (** A fresh, empty memo. Protocol constructors make one and give it to
+      every party they initialise. *)
+
+  val tallies : 'v memo -> 'v option array array -> ('v * int) option array
+  (** [tallies memo table] for an [n × n] table ([table.(sender).(leader)])
+      is, per leader, the most frequent [Some] value of that column with
+      its count ([None] for an all-[None] column); ties go to the smaller
+      value under [compare]. When [memo] last tallied a table holding
+      these same rows (physically) it returns that snapshot's array
+      itself, otherwise a fresh one that becomes the snapshot. Read-only:
+      do not mutate the result. *)
+
   val rounds : int
   (** = 3 *)
 
-  val start : n:int -> t:int -> self:Types.party_id -> own:'v -> 'v state
+  val start :
+    memo:'v memo -> n:int -> t:int -> self:Types.party_id -> own:'v -> 'v state
   (** Begin an instance batch where this party gradecasts [own]. *)
+
+  val next : 'v state -> own:'v -> 'v state
+  (** Begin the following batch with the same [n], [t], party and memo —
+      the next iteration of an iterated protocol. *)
 
   val send :
     round:int -> 'v state -> (Types.party_id * 'v msg) list
@@ -70,7 +107,8 @@ end
 
 (** Single-leader gradecast as a standalone {!Protocol.t}, used by the test
     suite to validate the gradecast properties in isolation. Every party
-    inputs a value but only [leader]'s instance is reported. *)
+    inputs a value but only [leader]'s instance is reported. The parties
+    share one {!Multi.memo}. *)
 val protocol :
   leader:Types.party_id ->
   inputs:(Types.party_id -> 'v) ->

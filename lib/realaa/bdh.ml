@@ -42,7 +42,7 @@ let decide st =
 
 let sub_round round = ((round - 1) mod 3) + 1
 
-let init ~knobs ~inputs ~t ~iterations ~self ~n =
+let init ~knobs ~memo ~inputs ~t ~iterations ~self ~n =
   let value = inputs self in
   let st =
     {
@@ -52,7 +52,7 @@ let init ~knobs ~inputs ~t ~iterations ~self ~n =
       knobs;
       value;
       iterations_left = iterations;
-      mstate = Multi.start ~n ~t ~self ~own:value;
+      mstate = Multi.start ~memo ~n ~t ~self ~own:value;
       faulty = Array.make n false;
       trajectory_rev = [];
       decided = None;
@@ -125,8 +125,7 @@ let finish_iteration st =
     }
   in
   if st.iterations_left <= 0 then decide st
-  else
-    { st with mstate = Multi.start ~n:st.n ~t:st.t ~self:st.self ~own:value }
+  else { st with mstate = Multi.next st.mstate ~own:value }
 
 let receive ~round ~inbox st =
   match st.decided with
@@ -147,10 +146,11 @@ let receive ~round ~inbox st =
 
 let observe st = Some st.value
 
-let protocol ?(knobs = faithful) ~inputs ~t ~iterations () =
+let protocol ?(knobs = faithful) ?(memo = Multi.memo ()) ~inputs ~t ~iterations
+    () =
   {
     Protocol.name = "realaa-bdh";
-    init = (fun ~self ~n -> init ~knobs ~inputs ~t ~iterations ~self ~n);
+    init = (fun ~self ~n -> init ~knobs ~memo ~inputs ~t ~iterations ~self ~n);
     send = (fun ~round ~self:_ st -> send ~round st);
     receive = (fun ~round ~self:_ ~inbox st -> receive ~round ~inbox st);
     output = (fun st -> st.decided);

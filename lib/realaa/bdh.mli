@@ -66,6 +66,7 @@ val observe : state -> float option
 
 val protocol :
   ?knobs:knobs ->
+  ?memo:float Gradecast.Multi.memo ->
   inputs:(Types.party_id -> float) ->
   t:int ->
   iterations:int ->
@@ -73,7 +74,10 @@ val protocol :
   (state, float Gradecast.Multi.msg, result) Protocol.t
 (** [iterations] is normally [Rounds.bdh_iterations ~range ~eps] for the
     public input-range bound; the protocol terminates after exactly
-    [3 * iterations] rounds. [knobs] defaults to {!faithful}. *)
+    [3 * iterations] rounds. [knobs] defaults to {!faithful}. Every party
+    shares [memo] (default: a fresh one per call) in every iteration;
+    pass one explicitly to share it with other protocols of the same run,
+    as TreeAA does across its phases. *)
 
 val simple :
   inputs:(Types.party_id -> float) ->

@@ -21,10 +21,7 @@ type state = {
 
 let sub_round round = ((round - 1) mod 3) + 1
 
-let start_multi st announcing =
-  Multi.start ~n:st.n ~t:st.t ~self:st.self ~own:(st.value, announcing)
-
-let init ~inputs ~t ~eps ~max_iterations ~self ~n =
+let init ~memo ~inputs ~t ~eps ~max_iterations ~self ~n =
   let value = inputs self in
   let st =
     {
@@ -35,7 +32,7 @@ let init ~inputs ~t ~eps ~max_iterations ~self ~n =
       value;
       iteration = 1;
       max_iterations;
-      mstate = Multi.start ~n ~t ~self ~own:(value, false);
+      mstate = Multi.start ~memo ~n ~t ~self ~own:(value, false);
       faulty = Array.make n false;
       locked = Array.make n None;
       announcing = false;
@@ -101,7 +98,7 @@ let finish_iteration st =
     let st =
       { st with faulty; locked; value; iteration = st.iteration + 1; announcing }
     in
-    { st with mstate = start_multi st announcing }
+    { st with mstate = Multi.next st.mstate ~own:(value, announcing) }
   end
 
 let receive ~round ~inbox st =
@@ -118,9 +115,10 @@ let receive ~round ~inbox st =
       if sub = 3 then finish_iteration st else st
 
 let protocol ~inputs ~t ~eps ~max_iterations =
+  let memo = Multi.memo () in
   {
     Protocol.name = "realaa-early-stopping";
-    init = (fun ~self ~n -> init ~inputs ~t ~eps ~max_iterations ~self ~n);
+    init = (fun ~self ~n -> init ~memo ~inputs ~t ~eps ~max_iterations ~self ~n);
     send = (fun ~round ~self:_ st -> send ~round st);
     receive = (fun ~round ~self:_ ~inbox st -> receive ~round ~inbox st);
     output = (fun st -> st.decided);

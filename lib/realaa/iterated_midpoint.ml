@@ -72,6 +72,7 @@ let naive_simple ~inputs ~t ~iterations =
 
 let with_gradecast ~inputs ~t ~iterations =
   let sub_round round = ((round - 1) mod 3) + 1 in
+  let memo = Multi.memo () in
   let init ~self ~n =
     let value = inputs self in
     let st =
@@ -81,7 +82,7 @@ let with_gradecast ~inputs ~t ~iterations =
         gself = self;
         gvalue = value;
         gleft = iterations;
-        mstate = Multi.start ~n ~t ~self ~own:value;
+        mstate = Multi.start ~memo ~n ~t ~self ~own:value;
         gtrajectory_rev = [];
         gdecided = None;
       }
@@ -123,7 +124,7 @@ let with_gradecast ~inputs ~t ~iterations =
         gvalue;
         gtrajectory_rev;
         gleft;
-        mstate = Multi.start ~n:st.gn ~t:st.gt ~self:st.gself ~own:gvalue;
+        mstate = Multi.next st.mstate ~own:gvalue;
       }
   in
   let receive ~round ~self:_ ~inbox st =

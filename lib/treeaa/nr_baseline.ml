@@ -119,11 +119,12 @@ let finish_iteration st =
       st with
       vertex;
       iterations_left = left;
-      mstate = Multi.start ~n:st.n ~t:st.t ~self:st.self ~own:vertex;
+      mstate = Multi.next st.mstate ~own:vertex;
     }
 
 let protocol ~tree ~inputs ~t ~iterations =
   let rooted = Rooted.make tree in
+  let memo = Multi.memo () in
   {
     Protocol.name = "nr-baseline";
     init =
@@ -138,7 +139,7 @@ let protocol ~tree ~inputs ~t ~iterations =
             rooted;
             vertex;
             iterations_left = iterations;
-            mstate = Multi.start ~n ~t ~self ~own:vertex;
+            mstate = Multi.start ~memo ~n ~t ~self ~own:vertex;
             decided = None;
           }
         in

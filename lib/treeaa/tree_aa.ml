@@ -18,7 +18,7 @@ let trivial ~inputs : (state, msg, Labeled_tree.vertex) Protocol.t =
     output = (function Trivial v -> Some v | Running _ -> None);
   }
 
-let phase2 ~tree ~rooted ~inputs ~t ~iterations own_path :
+let phase2 ~tree ~rooted ~memo ~inputs ~t ~iterations own_path :
     (Bdh.state, float Gradecast.Multi.msg, Labeled_tree.vertex) Protocol.t =
   ignore tree;
   let k = Array.length own_path in
@@ -32,7 +32,8 @@ let phase2 ~tree ~rooted ~inputs ~t ~iterations own_path :
     let c = Closest_int.closest_int r.value in
     own_path.(max 0 (min (k - 1) c))
   in
-  Protocol.map_output to_vertex (Bdh.protocol ~inputs:real_inputs ~t ~iterations ())
+  Protocol.map_output to_vertex
+    (Bdh.protocol ~memo ~inputs:real_inputs ~t ~iterations ())
 
 let rounds ~tree =
   let d = Metrics.diameter tree in
@@ -48,11 +49,17 @@ let protocol ~tree ~inputs ~t : (state, msg, Labeled_tree.vertex) Protocol.t =
     let rooted = Rooted.make tree in
     let iterations2 = Rounds.bdh_iterations ~range:(float_of_int d) ~eps:1. in
     let first = Paths_finder.protocol ~tree ~inputs ~t in
+    (* Every party builds its own phase-2 protocol (its candidate path is
+       its input), but all of them read the same broadcast rows: one memo
+       across those per-party protocols keeps the round-3 tallies shared.
+       Phase 1 is a single protocol, so it shares its own memo already. *)
+    let memo = Gradecast.Multi.memo () in
     let inner =
       Protocol.sequential ~name:"tree-aa" ~first
         ~rounds_of_first:(max 1 (Paths_finder.rounds ~tree))
         ~second:(fun own_path ->
-          phase2 ~tree ~rooted ~inputs ~t ~iterations:iterations2 own_path)
+          phase2 ~tree ~rooted ~memo ~inputs ~t ~iterations:iterations2
+            own_path)
     in
     {
       name = "tree-aa";

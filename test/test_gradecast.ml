@@ -1,6 +1,7 @@
 (* Tests for gradecast: the three properties (validity, soundness, value
    agreement on grade >= 1) under honest, crashing, equivocating and random
-   Byzantine leaders. *)
+   Byzantine leaders; and the shared round-3 tally memo, which must be
+   keyed by row identity and unobservable in every run. *)
 
 open Aat_engine
 open Aat_gradecast
@@ -176,6 +177,171 @@ let test_grade_utils () =
   check_int "g1" 1 (Gradecast.grade_to_int Gradecast.G1);
   check_int "g2" 2 (Gradecast.grade_to_int Gradecast.G2)
 
+(* --- the shared tally memo --- *)
+
+let test_memo_keyed_by_row_identity () =
+  let row v = [| Some v; None; Some 1.; Some v |] in
+  let r0 = row 5. and r1 = row 5. and r2 = row 7. and r3 = row 5. in
+  let table = [| r0; r1; r2; r3 |] in
+  let memo = Multi.memo () in
+  let first = Multi.tallies memo table in
+  check "tallies" true
+    (first = [| Some (5., 3); None; Some (1., 4); Some (5., 3) |]);
+  check "same rows in a fresh table: served from the snapshot" true
+    (Multi.tallies memo (Array.copy table) == first);
+  (* Every position, first and last included: one row that differs from
+     the key — by contents, or only by identity — is never answered from
+     the snapshot, and the fresh tallies are those of an unshared memo. *)
+  for i = 0 to Array.length table - 1 do
+    List.iter
+      (fun (what, replacement) ->
+        let variant = Array.copy table in
+        variant.(i) <- replacement;
+        let memo = Multi.memo () in
+        let snapshot = Multi.tallies memo table in
+        let got = Multi.tallies memo variant in
+        check (Printf.sprintf "row %d %s: no hit" i what) false (got == snapshot);
+        check
+          (Printf.sprintf "row %d %s: fresh tallies" i what)
+          true
+          (got = Multi.tallies (Multi.memo ()) variant))
+      [
+        ("structurally equal copy", Array.copy table.(i));
+        ("different contents", row 9.);
+      ]
+  done;
+  let smaller = [| [| Some 5. |] |] in
+  check "a table of another size misses" true
+    (Multi.tallies memo smaller = [| Some (5., 1) |])
+
+(* Party [self] runs its own instance of [make ()], so nothing protocol
+   constructors share (the tally memo above all) is shared across
+   parties: the reference every shared-memo run must reproduce. *)
+let per_party n (make : unit -> ('s, 'm, 'o) Protocol.t) : ('s, 'm, 'o) Protocol.t =
+  let ps = Array.init n (fun _ -> make ()) in
+  {
+    (ps.(0)) with
+    init = (fun ~self ~n -> ps.(self).init ~self ~n);
+    send = (fun ~round ~self st -> ps.(self).send ~round ~self st);
+    receive =
+      (fun ~round ~self ~inbox st -> ps.(self).receive ~round ~self ~inbox st);
+  }
+
+(* Everything a run reports that the memo could move; an exception (a
+   fault plan may break the model) is compared by its text. *)
+let observe run =
+  match run () with
+  | (r : (_, _) Sync_engine.report) ->
+      Ok
+        ( r.outputs,
+          r.corrupted,
+          r.rounds_used,
+          r.honest_messages,
+          r.adversary_messages,
+          r.rejected_forgeries,
+          r.fault_stats )
+  | exception e -> Error (Printexc.to_string e)
+
+type scenario = Passive | Spoiler | Wedge | Equivocating_genome | Random_genome | Faults
+
+let scenarios = [ Passive; Spoiler; Wedge; Equivocating_genome; Random_genome; Faults ]
+
+let genome seed ~t ~max_round = function
+  | Equivocating_genome -> (
+      match Aat_adversary.Genome.of_string "wedge+spoiler!+fifo" with
+      | Ok g -> g
+      | Error e -> failwith e)
+  | _ -> Aat_adversary.Genome.random (Rng.create seed) ~t ~max_round
+
+let fault_plan ~n =
+  match Aat_faults.Plan_io.parse (Printf.sprintf "omission:0.15;crash:%d@4" (n - 1)) with
+  | Ok p -> p
+  | Error e -> failwith e
+
+(* One run of [protocol] under [scenario]; [attack] builds the
+   scenario's adversary afresh, since adversaries keep state. *)
+let run_scenario ~seed ~n ~t ~max_round ~attack scenario ~protocol () =
+  let fault_filter, crash_faults =
+    match scenario with
+    | Faults ->
+        let plan = fault_plan ~n in
+        ( Some (Aat_faults.Inject.filter ~engine:`Sync ~seed plan),
+          Some (Aat_faults.Inject.crashes plan) )
+    | Passive | Spoiler | Wedge | Equivocating_genome | Random_genome -> (None, None)
+  in
+  Sync_engine.run ~n ~t ~seed ~max_rounds:max_round ?fault_filter ?crash_faults
+    ~protocol ~adversary:(attack scenario) ()
+
+let bdh_case ~seed ~n ~t scenario =
+  let iterations = 3 in
+  let max_round = 3 * iterations in
+  let inputs self = float_of_int (((self * 37) + seed) mod 101) in
+  let attack = function
+    | Passive | Faults -> Adversary.passive "none"
+    | Spoiler -> Aat_adversary.Spoiler.realaa_spoiler ~t ~iterations
+    | Wedge -> Aat_adversary.Wedge.gradecast_wedge ()
+    | (Equivocating_genome | Random_genome) as s ->
+        Aat_adversary.Genome.compile_real ~n ~t ~iterations
+          (genome seed ~t ~max_round s)
+  in
+  let make ?memo () = Aat_realaa.Bdh.protocol ?memo ~inputs ~t ~iterations () in
+  let go protocol = observe (run_scenario ~seed ~n ~t ~max_round ~attack scenario ~protocol) in
+  (go (make ()), go (per_party n (fun () -> make ~memo:(Multi.memo ()) ())))
+
+let tree_case ~seed ~n ~t scenario =
+  let open Aat_treeaa in
+  let tree = Aat_tree.Generate.random (Rng.create seed) (5 + (seed mod 8)) in
+  let nv = Aat_tree.Labeled_tree.n_vertices tree in
+  let inputs self = ((self * 7) + seed) mod nv in
+  let max_round = max 1 (Tree_aa.rounds ~tree) in
+  let barrier = max 1 (Paths_finder.rounds ~tree) in
+  let tour_len = (2 * nv) - 1 in
+  let first_iterations =
+    Aat_realaa.Rounds.bdh_iterations ~range:(float_of_int (tour_len - 1)) ~eps:1.
+  in
+  let second_iterations =
+    Aat_realaa.Rounds.bdh_iterations
+      ~range:(float_of_int (Aat_tree.Metrics.diameter tree))
+      ~eps:1.
+  in
+  let phased name first second =
+    Aat_adversary.Compose.phased ~name ~barrier ~first ~second
+  in
+  let attack = function
+    | Passive | Faults -> Adversary.passive "none"
+    | Spoiler ->
+        phased "spoiler-both"
+          (Aat_adversary.Spoiler.realaa_spoiler ~t ~iterations:first_iterations)
+          (Aat_adversary.Spoiler.realaa_spoiler ~t ~iterations:second_iterations)
+    | Wedge ->
+        phased "wedge-both" (Aat_adversary.Wedge.gradecast_wedge ())
+          (Aat_adversary.Wedge.gradecast_wedge ())
+    | (Equivocating_genome | Random_genome) as s ->
+        Aat_adversary.Genome.compile_tree ~n ~t ~barrier ~first_iterations
+          ~second_iterations (genome seed ~t ~max_round s)
+  in
+  let make () = Tree_aa.protocol ~tree ~inputs ~t in
+  let go protocol = observe (run_scenario ~seed ~n ~t ~max_round ~attack scenario ~protocol) in
+  (go (make ()), go (per_party n make))
+
+let prop_memo_unobservable =
+  QCheck2.Test.make ~name:"shared memo == memo per party (bdh, tree-aa)"
+    ~count:100
+    QCheck2.Gen.(
+      quad (int_bound 1_000_000) (int_range 0 3)
+        (int_range 0 (List.length scenarios - 1))
+        bool)
+    (fun (seed, size, scenario, tree) ->
+      let n = 4 + (3 * size) in
+      let t = (n - 1) / 3 in
+      let scenario = List.nth scenarios scenario in
+      if tree then
+        let shared, unshared = tree_case ~seed ~n ~t scenario in
+        shared = unshared
+      else
+        let shared, unshared = bdh_case ~seed ~n ~t scenario in
+        shared = unshared)
+
 let () =
   Alcotest.run "gradecast"
     [
@@ -195,4 +361,10 @@ let () =
         ] );
       ( "random-byzantine",
         [ QCheck_alcotest.to_alcotest prop_random_byzantine ] );
+      ( "memo",
+        [
+          Alcotest.test_case "keyed by row identity" `Quick
+            test_memo_keyed_by_row_identity;
+          QCheck_alcotest.to_alcotest prop_memo_unobservable;
+        ] );
     ]
