@@ -643,13 +643,39 @@ let fold_task agg tr =
         errors = agg.errors + 1;
       }
 
+type cell_grade = Passed | Violated | Excused
+
+let cell_grade_label = function
+  | Passed -> "passed"
+  | Violated -> "violated"
+  | Excused -> "excused"
+
+(* Violated is exactly "the verdict triple fails and the grade is not
+   excused" (see Verdict.grade); a missing verdict field counts as
+   failed, never as passed. *)
+let classify_outcome_json j =
+  let bool name =
+    match Json.member name j with Some (Json.Bool v) -> v | _ -> false
+  in
+  let grade =
+    if Option.bind (Json.member "grade" j) Json.to_str = Some "excused" then
+      Excused
+    else if bool "termination" && bool "validity" && bool "agreement" then
+      Passed
+    else Violated
+  in
+  let status =
+    Option.value ~default:"completed"
+      (Option.bind (Json.member "status" j) Json.to_str)
+  in
+  (grade, status)
+
 (* The service-side twin of [fold_task]: fold an outcome already in its
    JSON rendering (as shipped over the wire or resumed from a record
    file) into the aggregate. Field-for-field equivalent to [fold_task]
-   composed with [json_of_outcome]: Violated is exactly "the verdict
-   triple fails and the grade is not excused" (see Verdict.grade), the
-   timeout/engine-error statuses come from the "status" field, and the
-   totals read the always-present headline numbers. *)
+   composed with [json_of_outcome]: grade and status come from
+   [classify_outcome_json], and the totals read the always-present
+   headline numbers. *)
 let fold_outcome_json agg payload =
   match payload with
   | Error _ ->
@@ -661,26 +687,19 @@ let fold_outcome_json agg payload =
       }
   | Ok j ->
       let b p = if p then 1 else 0 in
-      let bool name =
-        match Json.member name j with Some (Json.Bool v) -> v | _ -> false
-      in
       let int name =
         match Option.bind (Json.member name j) Json.to_int with
         | Some v -> v
         | None -> 0
       in
-      let status = Option.bind (Json.member "status" j) Json.to_str in
-      let excused =
-        Option.bind (Json.member "grade" j) Json.to_str = Some "excused"
-      in
-      let all_ok = bool "termination" && bool "validity" && bool "agreement" in
+      let grade, status = classify_outcome_json j in
       {
         tasks = agg.tasks + 1;
-        violations = agg.violations + b ((not all_ok) && not excused);
+        violations = agg.violations + b (grade = Violated);
         errors = agg.errors;
-        timeouts = agg.timeouts + b (status = Some "liveness-timeout");
-        engine_errors = agg.engine_errors + b (status = Some "engine-error");
-        excused = agg.excused + b excused;
+        timeouts = agg.timeouts + b (status = "liveness-timeout");
+        engine_errors = agg.engine_errors + b (status = "engine-error");
+        excused = agg.excused + b (grade = Excused);
         total_rounds = agg.total_rounds + int "rounds_used";
         total_honest_messages =
           agg.total_honest_messages + int "honest_messages";

@@ -185,6 +185,21 @@ val fold_task : aggregate -> task_result -> aggregate
     order; external drivers (the campaign service) must do the same so
     the aggregate never depends on completion order. *)
 
+(** How one cell's outcome reads in the aggregate and the metrics. *)
+type cell_grade = Passed | Violated | Excused
+
+val cell_grade_label : cell_grade -> string
+(** ["passed"] / ["violated"] / ["excused"]. *)
+
+val classify_outcome_json : Aat_telemetry.Jsonx.t -> cell_grade * string
+(** The one classifier of a {!json_of_outcome} payload, shared by
+    {!fold_outcome_json} and the observability layer's metrics fold:
+    the cell's grade and its status label (["completed"] when the
+    payload carries none). [Excused] when the payload's grade is
+    excused; otherwise [Passed] only when [termination], [validity] and
+    [agreement] are all present and true — a missing field counts as
+    failed. *)
+
 val fold_outcome_json :
   aggregate -> (Aat_telemetry.Jsonx.t, string) Stdlib.result -> aggregate
 (** The service-side twin of {!fold_task}: fold an outcome already in

@@ -258,19 +258,11 @@ module Config = struct
     }
 end
 
-(* Per-constructor resolution: an explicitly passed legacy optional wins
-   over the [config] field, so the old labelled call sites keep their
-   exact behaviour while new code passes one record. *)
-let resolve ?fault_plan ?watch (config : Config.t) =
-  ( Option.value fault_plan ~default:config.Config.fault_plan,
-    Option.value watch ~default:config.Config.watch )
-
 (* ------------------------------------------------------------------ *)
 (* synchronous runners *)
 
-let tree_aa ?(config = Config.default) ?fault_plan ?watch ~tree ~inputs ~t
-    ~adversary () =
-  let fault_plan, watch = resolve ?fault_plan ?watch config in
+let tree_aa ?(config = Config.default) ~tree ~inputs ~t ~adversary () =
+  let { Config.fault_plan; watch; _ } = config in
   of_protocol ~name:"tree-aa" ~n:(Array.length inputs) ~t
     ~max_rounds:(Tree_aa.rounds ~tree)
     ~protocol:(fun () -> Tree_aa.protocol ~tree ~inputs:(fun i -> inputs.(i)) ~t)
@@ -279,9 +271,8 @@ let tree_aa ?(config = Config.default) ?fault_plan ?watch ~tree ~inputs ~t
     ~check:(tree_check ~tree ~inputs)
     ()
 
-let nr_baseline ?(config = Config.default) ?fault_plan ?watch ~tree ~inputs ~t
-    ~adversary () =
-  let fault_plan, watch = resolve ?fault_plan ?watch config in
+let nr_baseline ?(config = Config.default) ~tree ~inputs ~t ~adversary () =
+  let { Config.fault_plan; watch; _ } = config in
   let iterations = Nr_baseline.iterations_for tree in
   of_protocol ~name:"nr-baseline" ~n:(Array.length inputs) ~t
     ~max_rounds:(3 * iterations)
@@ -292,9 +283,8 @@ let nr_baseline ?(config = Config.default) ?fault_plan ?watch ~tree ~inputs ~t
     ~check:(tree_check ~tree ~inputs)
     ()
 
-let path_aa ?(config = Config.default) ?fault_plan ?watch ~path ~inputs ~t
-    ~adversary () =
-  let fault_plan, watch = resolve ?fault_plan ?watch config in
+let path_aa ?(config = Config.default) ~path ~inputs ~t ~adversary () =
+  let { Config.fault_plan; watch; _ } = config in
   of_protocol ~name:"path-aa" ~n:(Array.length inputs) ~t
     ~max_rounds:(Path_aa.rounds ~path)
     ~protocol:(fun () ->
@@ -310,9 +300,9 @@ let path_aa ?(config = Config.default) ?fault_plan ?watch ~path ~inputs ~t
     ~check:(tree_check ~tree:path ~inputs)
     ()
 
-let known_path_aa ?(config = Config.default) ?fault_plan ?watch ~tree ~path
-    ~inputs ~t ~adversary () =
-  let fault_plan, watch = resolve ?fault_plan ?watch config in
+let known_path_aa ?(config = Config.default) ~tree ~path ~inputs ~t
+    ~adversary () =
+  let { Config.fault_plan; watch; _ } = config in
   of_protocol ~name:"known-path-aa" ~n:(Array.length inputs) ~t
     ~max_rounds:(Known_path_aa.rounds ~path)
     ~protocol:(fun () ->
@@ -322,12 +312,9 @@ let known_path_aa ?(config = Config.default) ?fault_plan ?watch ~tree ~path
     ~check:(tree_check ~tree ~inputs)
     ()
 
-let real_aa ?(config = Config.default) ?knobs ?fault_plan ?watch ~eps ~inputs
-    ~t ~iterations ~adversary () =
-  let fault_plan, watch = resolve ?fault_plan ?watch config in
-  let knobs =
-    match knobs with Some k -> Some k | None -> config.Config.knobs
-  in
+let real_aa ?(config = Config.default) ~eps ~inputs ~t ~iterations ~adversary
+    () =
+  let { Config.fault_plan; watch; knobs; _ } = config in
   let value (r : Bdh.result) = r.Bdh.value in
   of_protocol ~name:"realaa" ~n:(Array.length inputs) ~t
     ~max_rounds:(3 * iterations)
@@ -345,9 +332,9 @@ let real_aa ?(config = Config.default) ?knobs ?fault_plan ?watch ~eps ~inputs
     ~spread:(real_spread ~value)
     ()
 
-let iterated_midpoint ?(config = Config.default) ?fault_plan ?watch ~eps
-    ~inputs ~t ~iterations ~adversary () =
-  let fault_plan, watch = resolve ?fault_plan ?watch config in
+let iterated_midpoint ?(config = Config.default) ~eps ~inputs ~t ~iterations
+    ~adversary () =
+  let { Config.fault_plan; watch; _ } = config in
   let value (r : Iterated_midpoint.result) = r.Iterated_midpoint.value in
   of_protocol ~name:"iterated-midpoint" ~n:(Array.length inputs) ~t
     ~max_rounds:(3 * iterations)
@@ -440,11 +427,8 @@ let tree_distance_spread ~tree vertices =
       in
       float_of_int (List.fold_left (fun acc v -> max acc (eccentricity_within v)) 0 vs)
 
-let async_tree_aa ?(config = Config.default) ?max_events ?fault_plan ?watch
-    ?adversary ~tree ~inputs ~t ?scheduler () =
-  let fault_plan, watch = resolve ?fault_plan ?watch config in
-  let max_events = Option.value max_events ~default:config.Config.max_events in
-  let scheduler = Option.value scheduler ~default:config.Config.scheduler in
+let async_tree_aa ?(config = Config.default) ?adversary ~tree ~inputs ~t () =
+  let { Config.fault_plan; watch; max_events; scheduler; _ } = config in
   let n = Array.length inputs in
   let iterations = Nr_baseline.iterations_for tree in
   let output_values report =
@@ -487,11 +471,8 @@ let async_tree_aa ?(config = Config.default) ?max_events ?fault_plan ?watch
   in
   { name = "async-tree-aa"; run }
 
-let round_sim_tree_aa ?(config = Config.default) ?max_events ?fault_plan
-    ?watch ~tree ~inputs ~t ?scheduler () =
-  let fault_plan, watch = resolve ?fault_plan ?watch config in
-  let max_events = Option.value max_events ~default:config.Config.max_events in
-  let scheduler = Option.value scheduler ~default:config.Config.scheduler in
+let round_sim_tree_aa ?(config = Config.default) ~tree ~inputs ~t () =
+  let { Config.fault_plan; watch; max_events; scheduler; _ } = config in
   let n = Array.length inputs in
   let check report =
     Tree_verdict.check ~tree

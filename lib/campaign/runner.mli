@@ -128,14 +128,12 @@ val of_protocol :
     is not representable in a declarative campaign spec). *)
 type scheduler = Fifo | Lifo | Random_order
 
-(** The unified run configuration. The repository's runners accreted a
-    per-constructor spread of optionals ([?fault_plan], [?watch],
-    [?max_events], [?knobs], [~scheduler]); {!Config.t} consolidates them
-    into one record so campaign, service, bench and soak all construct
-    runs the same way: build a record from {!Config.default}, override
-    the fields you need, and pass [~config]. Fields a protocol does not
-    use (e.g. [scheduler] on a synchronous runner, [knobs] anywhere but
-    RealAA) are ignored by that constructor.
+(** The one run configuration every constructor below takes, so
+    campaign, service, bench and soak all construct runs the same way:
+    build a record from {!Config.default}, override the fields you need,
+    and pass [~config]. Fields a protocol does not use (e.g. [scheduler]
+    on a synchronous runner, [knobs] anywhere but RealAA) are ignored by
+    that constructor.
 
     The per-run adversary thunk stays a separate labelled argument — its
     message type is protocol-specific, so it cannot live in a shared
@@ -156,20 +154,13 @@ end
 
 (** {1 The repository's protocols as runners}
 
-    All take [?config] (default {!Config.default}) plus the legacy
-    per-field optionals [?fault_plan] / [?watch] (and, where applicable,
-    [?max_events] / [?knobs] / [?scheduler]). The legacy optionals are
-    {b deprecated thin wrappers}: when passed explicitly they override
-    the corresponding [config] field, preserving every existing call
-    site bit-for-bit, but new code should construct a {!Config.t}. When
-    [watch] is set, the standard watchdog catalog applicable to the
-    protocol — corruption-budget monotonicity everywhere, spread
-    non-expansion where a scalar observation exists — is installed. *)
+    All take [?config] (default {!Config.default}). When [watch] is set,
+    the standard watchdog catalog applicable to the protocol —
+    corruption-budget monotonicity everywhere, spread non-expansion where
+    a scalar observation exists — is installed. *)
 
 val tree_aa :
   ?config:Config.t ->
-  ?fault_plan:Aat_faults.Plan.t ->
-  ?watch:bool ->
   tree:Labeled_tree.t ->
   inputs:Labeled_tree.vertex array ->
   t:int ->
@@ -179,8 +170,6 @@ val tree_aa :
 
 val nr_baseline :
   ?config:Config.t ->
-  ?fault_plan:Aat_faults.Plan.t ->
-  ?watch:bool ->
   tree:Labeled_tree.t ->
   inputs:Labeled_tree.vertex array ->
   t:int ->
@@ -190,8 +179,6 @@ val nr_baseline :
 
 val path_aa :
   ?config:Config.t ->
-  ?fault_plan:Aat_faults.Plan.t ->
-  ?watch:bool ->
   path:Labeled_tree.t ->
   inputs:Labeled_tree.vertex array ->
   t:int ->
@@ -202,8 +189,6 @@ val path_aa :
 
 val known_path_aa :
   ?config:Config.t ->
-  ?fault_plan:Aat_faults.Plan.t ->
-  ?watch:bool ->
   tree:Labeled_tree.t ->
   path:Paths.path ->
   inputs:Labeled_tree.vertex array ->
@@ -214,9 +199,6 @@ val known_path_aa :
 
 val real_aa :
   ?config:Config.t ->
-  ?knobs:Aat_realaa.Bdh.knobs ->
-  ?fault_plan:Aat_faults.Plan.t ->
-  ?watch:bool ->
   eps:float ->
   inputs:float array ->
   t:int ->
@@ -228,8 +210,6 @@ val real_aa :
 
 val iterated_midpoint :
   ?config:Config.t ->
-  ?fault_plan:Aat_faults.Plan.t ->
-  ?watch:bool ->
   eps:float ->
   inputs:float array ->
   t:int ->
@@ -241,35 +221,27 @@ val iterated_midpoint :
 
 val async_tree_aa :
   ?config:Config.t ->
-  ?max_events:int ->
-  ?fault_plan:Aat_faults.Plan.t ->
-  ?watch:bool ->
   ?adversary:(unit -> Labeled_tree.vertex Aat_async.Async_aa.msg Adversary.t) ->
   tree:Labeled_tree.t ->
   inputs:Labeled_tree.vertex array ->
   t:int ->
-  ?scheduler:scheduler ->
   unit ->
   t
 (** The native asynchronous tree protocol ([Async_aa.tree], Nowak–Rybicki
-    style) under the given scheduler. [adversary] (default: passive) is a
+    style) under the config's scheduler. [adversary] (default: passive) is a
     synchronous-world strategy lifted through
     [Async_engine.with_scheduler] — the synthesis harness drives the
     protocol-agnostic genome attacks through it; when present, the outcome
     additionally reports the honest output spread in the tree metric.
-    [max_events] defaults to [2_000_000] (soak's budget — enough for the
-    large random trees the campaigns draw). The async engine honours the
+    The default [max_events], [2_000_000], is soak's budget — enough for
+    the large random trees the campaigns draw. The async engine honours the
     full fault vocabulary, [Duplicate] and [Delay] included. *)
 
 val round_sim_tree_aa :
   ?config:Config.t ->
-  ?max_events:int ->
-  ?fault_plan:Aat_faults.Plan.t ->
-  ?watch:bool ->
   tree:Labeled_tree.t ->
   inputs:Labeled_tree.vertex array ->
   t:int ->
-  ?scheduler:scheduler ->
   unit ->
   t
 (** Synchronous TreeAA lifted into the asynchronous engine through

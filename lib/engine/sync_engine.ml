@@ -26,6 +26,12 @@ type ('s, 'o) slot =
   | Done of 'o * Types.round
   | Corrupt
 
+(* A protocol's [send] may only address parties [0, n). *)
+let check_dst (protocol : _ Protocol.t) ~n p dst =
+  if dst < 0 || dst >= n then
+    invalid_arg
+      (Printf.sprintf "%s: p%d sent to invalid party %d" protocol.name p dst)
+
 let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
     ?(record_trace = false) ?(telemetry = Telemetry.Sink.null)
     ?(profile = false) ?(observe : (s -> float option) option)
@@ -56,19 +62,14 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
      the adversary moves, and do not consume its corruption budget. *)
   List.iter (fun (p, at) -> if at <= 0 then crash p ~at:0) crash_faults;
   let corrupted p = Runtime.Corruption.is_corrupted corruption p in
-  (* Engine fast paths. A passive adversary never corrupts, never sends and
-     never reads its view, so the per-round view materialisation (history
-     retention, outbox reversal, corruption-flag copies) is skipped
-     entirely. Without mid-run crash faults there is nothing that can
-     retract a letter after submission either, so honest letters stream
-     straight from [send] into the mailbox without ever being buffered —
-     the hot path at n ~ 10^4 allocates no per-letter envelopes at all.
-     The fault filter observes the same (round, src, dst) sequence as the
-     buffered path: forward submission order, p ascending. *)
+  (* Engine fast path. A passive adversary never corrupts, never sends and
+     never reads its view, so its rounds skip the view materialisation
+     (history retention, outbox reversal, corruption-flag copies) and
+     stream honest letters straight from [send] into the mailbox: at
+     n ~ 10^4 no per-letter envelope is allocated. Nothing can retract a
+     streamed letter, because the only other retraction, a fault-plan
+     crash, lands before [send] (see the round body). *)
   let passive = adversary.Adversary.passive in
-  let has_timed_crashes =
-    List.exists (fun ((_ : Types.party_id), at) -> at >= 1) crash_faults
-  in
   (* The delivered-letter list is only materialised for consumers that
      read letters: the adversary's history (any non-passive run), the
      recorded trace, and watchdogs. Counters cover everything else. *)
@@ -169,29 +170,37 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
       let dropped_before =
         (Runtime.Mailbox.fault_stats mailbox ~crashed:0).Runtime.Report.dropped
       in
-      (* Per-round telemetry accumulators, shared by both paths. [sent_by]
-         is handed to the sink, which may retain it: fresh per round. *)
+      (* Per-round telemetry accumulators, passive or not. [sent_by] is
+         handed to the sink, which may retain it: fresh per round. *)
       let sent_by = if live then Array.make n 0 else [||] in
       let honest_bytes = ref 0 and adversary_bytes = ref 0 in
       let honest_count = ref 0 and byz_count = ref 0 in
-      let meter (l : m Types.letter) bytes =
-        sent_by.(l.src) <- sent_by.(l.src) + 1;
-        bytes := !bytes + Telemetry.payload_bytes l.body
-      in
-      if passive && not has_timed_crashes then begin
-        (* Streamed fast path: nothing can retract a submitted letter, so
-           each one goes straight from [send] into the flat mailbox. *)
-        Runtime.Mailbox.begin_round ~round:r mailbox;
-        Array.iteri
-          (fun p slot ->
-            match slot with
-            | Live s ->
+      (* 1. fault-plan crashes land first: the environment acts before
+         the adversary, so a party crashing in round [r] sends nothing in
+         round [r]. A decided party that crashes loses its output too. *)
+      List.iter
+        (fun (p, at) ->
+          if at = r then begin
+            crash p ~at:r;
+            if p >= 0 && p < n && corrupted p then slots.(p) <- Corrupt
+          end)
+        crash_faults;
+      Runtime.Mailbox.begin_round ~round:r mailbox;
+      (* 2. honest sends. A passive run streams each letter into the
+         mailbox; otherwise the outbox is buffered (in reverse submission
+         order) for the adversary's rushing view. Either way the fault
+         filter sees the same (round, src, dst) sequence: forward
+         submission order, p ascending. *)
+      let honest_outbox = ref [] in
+      Array.iteri
+        (fun p slot ->
+          match slot with
+          | Live s ->
+              let letters = protocol.send ~round:r ~self:p s in
+              if passive then
                 List.iter
                   (fun (dst, body) ->
-                    if dst < 0 || dst >= n then
-                      invalid_arg
-                        (Printf.sprintf "%s: p%d sent to invalid party %d"
-                           protocol.name p dst);
+                    check_dst protocol ~n p dst;
                     Runtime.Mailbox.post_direct mailbox ~src:p ~dst body;
                     incr honest_count;
                     if live then begin
@@ -199,92 +208,18 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
                       honest_bytes :=
                         !honest_bytes + Telemetry.payload_bytes body
                     end)
-                  (protocol.send ~round:r ~self:p s)
-            | Done _ | Corrupt -> ())
-          slots;
-        Runtime.Mailbox.note_honest mailbox !honest_count
-      end
-      else if passive then begin
-        (* Passive, but environment crashes can retract this round's
-           letters: buffer the outbox, retract, then post. Still no view,
-           history or screening — the adversary reads none of it. *)
-        let honest_outbox = ref [] in
-        Array.iteri
-          (fun p slot ->
-            match slot with
-            | Live s ->
+                  letters
+              else
                 List.iter
                   (fun (dst, body) ->
-                    if dst < 0 || dst >= n then
-                      invalid_arg
-                        (Printf.sprintf "%s: p%d sent to invalid party %d"
-                           protocol.name p dst)
-                    else
-                      honest_outbox :=
-                        { Types.src = p; dst; body } :: !honest_outbox)
-                  (protocol.send ~round:r ~self:p s)
-            | Done _ | Corrupt -> ())
-          slots;
-        List.iter
-          (fun (p, at) ->
-            if at = r then begin
-              crash p ~at:r;
-              if p >= 0 && p < n && corrupted p then begin
-                slots.(p) <- Corrupt;
-                honest_outbox :=
-                  List.filter
-                    (fun (l : m Types.letter) -> l.src <> p)
-                    !honest_outbox
-              end
-            end)
-          crash_faults;
-        Runtime.Mailbox.begin_round ~round:r mailbox;
-        (* [honest_outbox] is in reverse submission order, so
-           [post_last_wins] walks it forward — the same per-letter fault
-           decision sequence as the streamed path. *)
-        Runtime.Mailbox.post_last_wins mailbox !honest_outbox;
-        honest_count := List.length !honest_outbox;
-        Runtime.Mailbox.note_honest mailbox !honest_count;
-        if live then
-          List.iter (fun l -> meter l honest_bytes) !honest_outbox
-      end
+                    check_dst protocol ~n p dst;
+                    honest_outbox :=
+                      { Types.src = p; dst; body } :: !honest_outbox)
+                  letters
+          | Done _ | Corrupt -> ())
+        slots;
+      if passive then Runtime.Mailbox.note_honest mailbox !honest_count
       else begin
-        (* Full path: a live adversary gets its rushing view, adaptive
-           corruptions and screened deliveries, exactly as before. *)
-        (* 1. honest outboxes *)
-        let honest_outbox = ref [] in
-        Array.iteri
-          (fun p slot ->
-            match slot with
-            | Live s ->
-                List.iter
-                  (fun (dst, body) ->
-                    if dst < 0 || dst >= n then
-                      invalid_arg
-                        (Printf.sprintf "%s: p%d sent to invalid party %d"
-                           protocol.name p dst)
-                    else
-                      honest_outbox :=
-                        { Types.src = p; dst; body } :: !honest_outbox)
-                  (protocol.send ~round:r ~self:p s)
-            | Done _ | Corrupt -> ())
-          slots;
-        (* 2a. fault-plan crashes land first (the environment acts before
-           the adversary): a party crashing in round [r] has its round-[r]
-           letters retracted, exactly like an adaptive corruption. *)
-        List.iter
-          (fun (p, at) ->
-            if at = r then begin
-              crash p ~at:r;
-              if p >= 0 && p < n && corrupted p then begin
-                slots.(p) <- Corrupt;
-                honest_outbox :=
-                  List.filter
-                    (fun (l : m Types.letter) -> l.src <> p)
-                    !honest_outbox
-              end
-            end)
-          crash_faults;
         let view () =
           {
             Adversary.round = r;
@@ -296,7 +231,7 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
             rng;
           }
         in
-        (* 2b. adaptive corruptions: newly corrupted parties' messages of
+        (* 3. adaptive corruptions: newly corrupted parties' messages of
            this round are retracted and their state handed to the
            adversary (conceptually — we just drop it). *)
         let extra = adversary.corrupt_more (view ()) in
@@ -311,20 +246,20 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
                   !honest_outbox
             end)
           extra;
-        (* 3. adversary messages, authenticated-channel check *)
+        (* 4. adversary messages, authenticated-channel check *)
         let byz_letters =
           Runtime.Mailbox.screen mailbox ~adversary:adversary.name
             ~corrupted:(Runtime.Corruption.set corruption)
             (adversary.deliver (view ()))
         in
-        (* 4. delivery through the shared mailbox: at most one letter per
+        (* 5. delivery through the shared mailbox: at most one letter per
            (src, dst) pair. Adversary letters are posted first so that a
            Byzantine double-send to the same recipient resolves to the
            adversary's *last* choice, and an adversary letter from a
            newly-corrupted party overrides the retracted honest one
            (already removed above). The installed fault filter (if any) is
-           consulted inside [post]. *)
-        Runtime.Mailbox.begin_round ~round:r mailbox;
+           consulted inside [post]; [post_last_wins] walks the reversed
+           honest outbox forward. *)
         Runtime.Mailbox.post_last_wins mailbox byz_letters;
         Runtime.Mailbox.post_last_wins mailbox !honest_outbox;
         honest_count := List.length !honest_outbox;
@@ -333,13 +268,17 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
         Runtime.Mailbox.note_adversary mailbox !byz_count;
         history := Runtime.Mailbox.delivered mailbox :: !history;
         if live then begin
+          let meter (l : m Types.letter) bytes =
+            sent_by.(l.src) <- sent_by.(l.src) + 1;
+            bytes := !bytes + Telemetry.payload_bytes l.body
+          in
           List.iter (fun l -> meter l honest_bytes) !honest_outbox;
           List.iter (fun l -> meter l adversary_bytes) byz_letters
         end
       end;
       let delivered = Runtime.Mailbox.delivered mailbox in
       if record_trace then trace := delivered :: !trace;
-      (* 5. honest receive + termination. On telemetered runs with an
+      (* 6. honest receive + termination. On telemetered runs with an
          [observe] function, each party's post-receive state is sampled here —
          including parties deciding this round, whose state is about to be
          discarded. Watchdogs see the same post-receive states. *)
@@ -366,7 +305,7 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
           | Done _ | Corrupt -> ())
         slots;
       run_watchdogs ~round:r ~delivered ~states:(List.rev !wd_states_rev);
-      (* 6. telemetry: one event per round, after receives so that probes
+      (* 7. telemetry: one event per round, after receives so that probes
          fired inside [receive] and post-round state snapshots are included *)
       if live then begin
         let grades, marks =

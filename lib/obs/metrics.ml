@@ -1,4 +1,5 @@
 module Json = Aat_telemetry.Jsonx
+module Campaign = Aat_campaign.Campaign
 
 (* ------------------------------------------------------------------ *)
 (* registry *)
@@ -350,11 +351,7 @@ let snapshot = function
 (* ------------------------------------------------------------------ *)
 (* campaign-cell accounting *)
 
-let bool_field j name default =
-  match Json.member name j with Some (Json.Bool b) -> b | _ -> default
-
 let int_field j name = Option.bind (Json.member name j) Json.to_int
-let str_field j name = Option.bind (Json.member name j) Json.to_str
 
 let record_cell reg payload =
   match reg with
@@ -368,17 +365,11 @@ let record_cell reg payload =
             (counter reg ~labels:[ ("status", "engine-error") ]
                "campaign_statuses_total")
       | Ok j ->
-          let all_ok =
-            bool_field j "termination" true
-            && bool_field j "validity" true
-            && bool_field j "agreement" true
-          in
-          let excused = str_field j "grade" = Some "excused" in
-          let grade =
-            if excused then "excused" else if all_ok then "passed" else "violated"
-          in
-          incr (counter reg ~labels:[ ("grade", grade) ] "campaign_grades_total");
-          let status = Option.value (str_field j "status") ~default:"completed" in
+          let grade, status = Campaign.classify_outcome_json j in
+          incr
+            (counter reg
+               ~labels:[ ("grade", Campaign.cell_grade_label grade) ]
+               "campaign_grades_total");
           incr
             (counter reg ~labels:[ ("status", status) ] "campaign_statuses_total");
           (match int_field j "rounds_used" with

@@ -115,7 +115,9 @@ val snapshot : t -> Snapshot.t
     [record_cell t payload] parses one campaign cell result — the
     [Campaign.json_of_outcome] object, or [Error _] for an engine
     error — and bumps the deterministic [campaign_*] series: cells,
-    grades, statuses, rounds/messages totals, injected fault counts,
+    grades and statuses (classified by
+    [Campaign.classify_outcome_json], the same classifier the campaign
+    aggregate folds with), rounds/messages totals, injected fault counts,
     watchdog violations, max spread, and the rounds-used histogram.
     Because every update is a commutative fold of per-cell facts, the
     resulting snapshot is bit-identical for any worker count or cell

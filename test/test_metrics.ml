@@ -237,6 +237,39 @@ let fold_results results =
     results;
   M.snapshot reg
 
+(* The campaign aggregate and the metrics fold classify a cell through
+   one function: a payload missing a verdict field is a violation in
+   both, never a pass in one and a failure in the other. *)
+let test_missing_verdict_field () =
+  let payload =
+    Ok
+      (Json.Obj
+         [
+           ("termination", Json.Bool true);
+           ("agreement", Json.Bool true);
+           ("rounds_used", Json.Num 3.);
+           ("honest_messages", Json.Num 12.);
+           ("adversary_messages", Json.Num 0.);
+         ])
+  in
+  let agg = Campaign.fold_outcome_json Campaign.empty_aggregate payload in
+  check_int "aggregate violations" 1 agg.Campaign.violations;
+  check_int "aggregate excused" 0 agg.Campaign.excused;
+  let reg = M.create () in
+  M.record_cell reg payload;
+  let grades =
+    List.filter_map
+      (fun s ->
+        match s.M.Snapshot.value with
+        | M.Snapshot.Counter v when s.M.Snapshot.name = "campaign_grades_total"
+          ->
+            Some (s.M.Snapshot.labels, v)
+        | _ -> None)
+      (M.snapshot reg)
+  in
+  check "campaign_grades_total{grade=\"violated\"} = 1 and nothing else" true
+    (grades = [ ([ ("grade", "violated") ], 1.) ])
+
 let test_inprocess_bit_identity () =
   let spec = spec 8 in
   let baseline =
@@ -428,6 +461,8 @@ let () =
           Alcotest.test_case "null registry" `Quick test_null_registry;
           Alcotest.test_case "merge" `Quick test_merge;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus;
+          Alcotest.test_case "missing verdict field is violated" `Quick
+            test_missing_verdict_field;
         ] );
       ( "determinism",
         [
