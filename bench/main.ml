@@ -200,14 +200,23 @@ let print_profile rows =
          [ name; Printf.sprintf "%.2f" wall_s; Printf.sprintf "%.1f" alloc_mb ])
        rows)
 
+let usage () =
+  Printf.eprintf
+    "usage: main.exe [--table E1..E10 | --bechamel | --convergence \
+     [FILE] | --all] [--workers N] [--distributed N] [--json-out] \
+     [--profile]\n";
+  exit 1
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   (* --workers N / --json-out / --profile may appear anywhere; none of
      them affects a single digit of the tables (the parallel tables run
      on the deterministic Pool; capture and measurement only observe). *)
   let rec extract_opt name acc = function
-    | flag :: n :: rest when flag = name ->
-        (Some (int_of_string n), List.rev_append acc rest)
+    | flag :: n :: rest when flag = name -> (
+        match int_of_string_opt n with
+        | Some n -> (Some n, List.rev_append acc rest)
+        | None -> usage ())
     | x :: rest -> extract_opt name (x :: acc) rest
     | [] -> (None, List.rev acc)
   in
@@ -247,9 +256,4 @@ let () =
       let rows = List.map run tables in
       if profile then print_profile rows;
       bechamel ()
-  | _ ->
-      Printf.eprintf
-        "usage: main.exe [--table E1..E10 | --bechamel | --convergence \
-         [FILE] | --all] [--workers N] [--distributed N] [--json-out] \
-         [--profile]\n";
-      exit 1
+  | _ -> usage ()

@@ -81,42 +81,29 @@ let family_specs ~runs ~seed ~faults ~watchdogs =
     };
   ]
 
-(* Both execution paths produce the same aggregate and per-task errors:
-   the in-process campaign pool, or — under --distributed — the
-   multi-process campaign service (whose JSONL/aggregate determinism
-   contract makes the soak output identical either way). *)
+(* The in-process campaign pool, or — under --distributed — the
+   multi-process campaign service: both yield the same campaign result
+   (the service's determinism contract), so the soak output is identical
+   either way. *)
 let run_spec ~workers ~distributed (spec : Campaign.Spec.t) =
-  if distributed then (
-    match Service.run ~workers spec with
-    | Error e ->
-        Printf.eprintf "[%s] campaign service failed: %s\n"
-          spec.Campaign.Spec.name e;
-        exit 1
-    | Ok r ->
-        let seeds =
-          Campaign.task_seeds ~base_seed:spec.Campaign.Spec.base_seed
-            ~count:spec.Campaign.Spec.repetitions
-        in
-        Array.iteri
-          (fun task cell ->
-            match cell with
-            | Some (Error e) ->
-                Printf.eprintf "[%s] task %d (seed %d) raised %s\n"
-                  spec.Campaign.Spec.name task seeds.(task) e
-            | _ -> ())
-          r.Service.cells;
-        r.Service.aggregate)
-  else
-    let result = Campaign.run ~workers spec in
-    Array.iter
-      (fun (tr : Campaign.task_result) ->
-        match tr.Campaign.result with
-        | Ok _ -> ()
-        | Error e ->
-            Printf.eprintf "[%s] task %d (seed %d) raised %s\n"
-              spec.Campaign.Spec.name tr.Campaign.task tr.Campaign.task_seed e)
-      result.Campaign.results;
-    result.Campaign.aggregate
+  let result =
+    if distributed then (
+      match Service.run ~workers spec with
+      | Error e ->
+          Printf.eprintf "[%s] campaign service failed: %s\n"
+            spec.Campaign.Spec.name e;
+          exit 1
+      | Ok r -> Service.campaign_result r)
+    else Campaign.run ~workers spec
+  in
+  List.iter
+    (function
+      | task, task_seed, Error e ->
+          Printf.eprintf "[%s] task %d (seed %d) raised %s\n"
+            spec.Campaign.Spec.name task task_seed e
+      | _, _, Ok _ -> ())
+    (Campaign.seeded_cells result);
+  result.Campaign.aggregate
 
 let soak runs seed workers chaos spec_file distributed =
   let faults, watchdogs =
@@ -134,20 +121,13 @@ let soak runs seed workers chaos spec_file distributed =
     match spec_file with
     | None -> family_specs ~runs ~seed ~faults ~watchdogs
     | Some path -> (
-        (* A single spec parsed through the same Spec_io codec as
-           'treeaa campaign --spec' and the flight-record headers; the
-           grid-shape flags (--runs, --seed, --chaos) are ignored. *)
-        let ic = open_in_bin path in
-        let contents = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        match
-          Result.bind
-            (Telemetry.Json.of_string (String.trim contents))
-            Spec_io.of_json
-        with
+        (* A single spec read by the same Spec_io loader as 'treeaa
+           campaign --spec'; the grid-shape flags (--runs, --seed,
+           --chaos) are ignored. *)
+        match Spec_io.of_file path with
         | Ok spec -> [ spec ]
         | Error m ->
-            Printf.eprintf "%s: bad campaign spec: %s\n" path m;
+            prerr_endline m;
             exit 1)
   in
   List.iter

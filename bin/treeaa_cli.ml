@@ -284,27 +284,6 @@ let parse_campaign_protocol = Spec_io.protocol_of_string
 let parse_campaign_adversary = Spec_io.adversary_of_string
 let parse_campaign_inputs = Spec_io.inputs_of_string
 
-(* Spec files are the same JSON Spec_io embeds in flight-record headers:
-   one [treeaa campaign --spec] file describes the whole grid. *)
-let load_spec_file path =
-  let ( let* ) = Result.bind in
-  let* contents =
-    try
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Ok s
-    with Sys_error m -> Error m
-  in
-  let* json =
-    Result.map_error
-      (fun m -> Printf.sprintf "%s: not JSON: %s" path m)
-      (Telemetry.Json.of_string (String.trim contents))
-  in
-  Result.map_error
-    (fun m -> Printf.sprintf "%s: bad campaign spec: %s" path m)
-    (Spec_io.of_json json)
-
 let spec_file_term =
   Arg.(
     value
@@ -514,7 +493,7 @@ let campaign_run_cmd =
     let ( let* ) = Result.bind in
     let* spec =
       match spec_file with
-      | Some path -> load_spec_file path
+      | Some path -> Spec_io.of_file path
       | None ->
           let* protocol = parse_campaign_protocol ~eps protocol in
           let* adversary = parse_campaign_adversary adversary in
@@ -630,25 +609,16 @@ let campaign_run_cmd =
     (match record_dir with
     | None -> ()
     | Some dir ->
-        Array.iter
-          (fun (tr : Campaign.task_result) ->
-            match (tr.Campaign.result, stats.(tr.Campaign.task)) with
-            | Ok o, Some st ->
-                let record =
-                  {
-                    Recorder.spec;
-                    task_seed = tr.Campaign.task_seed;
-                    engine_seed = o.Runner.seed;
-                    trace = Trace.of_stats st;
-                    outcome = Some (Campaign.json_of_outcome o);
-                    digest = Some (Recorder.digest_of_outcome o);
-                  }
-                in
+        List.iter
+          (fun (task, task_seed, cell) ->
+            match (cell, stats.(task)) with
+            | Ok outcome, Some st ->
                 Recorder.write_file
-                  (cell_path dir tr.Campaign.task "cell-%04d.record.jsonl")
-                  record
+                  (cell_path dir task "cell-%04d.record.jsonl")
+                  (Recorder.of_outcome_json ~trace:(Trace.of_stats st) ~spec
+                     ~task_seed outcome)
             | _ -> ())
-          result.Campaign.results);
+          (Campaign.seeded_cells result));
     (match repro_dir with
     | None -> ()
     | Some dir ->
@@ -659,29 +629,29 @@ let campaign_run_cmd =
               record)
           (Recorder.failing_cells result));
     write_stream_to out (fun oc -> Campaign.write_jsonl oc result);
-    (* In-process --status-out: fold every outcome through the same
+    (* In-process --status-out: fold every cell through the same
        [record_cell] the service coordinator uses, then write the status
        and Prometheus files once at completion — the deterministic
-       campaign_* series are bit-identical to any service run's. *)
+       campaign_* series are bit-identical to any service run's. Every
+       cell was computed by this run. *)
     (match status_out with
     | None -> ()
     | Some path ->
         let registry = Obs.Metrics.create () in
-        Array.iter
-          (fun (tr : Campaign.task_result) ->
-            Obs.Metrics.record_cell registry
-              (Result.map Campaign.json_of_outcome tr.Campaign.result))
-          result.Campaign.results;
+        Array.iter (Obs.Metrics.record_cell registry) result.Campaign.cells;
         let snap = Obs.Metrics.snapshot registry in
+        let count v = Telemetry.Json.Num (float_of_int v) in
         let status_json =
           Telemetry.Json.Obj
             [
               ("type", Telemetry.Json.Str "campaign-status");
-              ("format_version", Telemetry.Json.Num 1.);
+              ( "format_version",
+                Telemetry.Json.Str Telemetry.format_version_string );
               ("name", Telemetry.Json.Str name);
               ("status", Telemetry.Json.Str "completed");
-              ("cells_total", Telemetry.Json.Num (float_of_int reps));
-              ("cells_done", Telemetry.Json.Num (float_of_int reps));
+              ("cells_total", count reps);
+              ("cells_done", count reps);
+              ("computed", count reps);
               ("metrics", Obs.Metrics.Snapshot.to_json snap);
             ]
         in
@@ -829,7 +799,7 @@ let campaign_serve_cmd =
       heartbeat_timeout max_respawns respawn_backoff progress_timeout
       wire_chaos status_out trace_events manifest_out =
     let ( let* ) = Result.bind in
-    let* spec = load_spec_file spec_file in
+    let* spec = Spec_io.of_file spec_file in
     let* () = Campaign.Spec.validate spec in
     let* wire_chaos =
       match Service_chaos.parse wire_chaos with

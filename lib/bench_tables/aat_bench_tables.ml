@@ -786,34 +786,26 @@ let table_echaos ?(workers = 1) ?(distributed = false) () =
         in
         (* --distributed routes each cell campaign through the
            multi-process service; its determinism contract keeps every
-           digit of the table identical. The "ok" column comes from the
-           outcome JSON's "ok" field — the wire image of [Runner.ok]. *)
-        let agg, ok =
+           digit of the table identical. The "ok" column reads each
+           cell's "ok" field — the rendering of [Runner.ok]. *)
+        let result =
           if distributed then (
             match Service.run ~workers spec with
             | Error e ->
                 Printf.eprintf "E-CHAOS: campaign service failed: %s\n" e;
                 exit 1
-            | Ok r ->
-                ( r.Service.aggregate,
-                  Array.fold_left
-                    (fun acc cell ->
-                      match cell with
-                      | Some (Ok j)
-                        when Telemetry.Json.member "ok" j
-                             = Some (Telemetry.Json.Bool true) ->
-                          acc + 1
-                      | _ -> acc)
-                    0 r.Service.cells ))
-          else
-            let result = Campaign.run ~workers spec in
-            ( result.Campaign.aggregate,
-              Array.fold_left
-                (fun acc (tr : Campaign.task_result) ->
-                  match tr.Campaign.result with
-                  | Ok o when Runner.ok o -> acc + 1
-                  | _ -> acc)
-                0 result.Campaign.results )
+            | Ok r -> Service.campaign_result r)
+          else Campaign.run ~workers spec
+        in
+        let agg = result.Campaign.aggregate in
+        let ok_cell = function
+          | Ok j -> Telemetry.Json.member "ok" j = Some (Telemetry.Json.Bool true)
+          | Error _ -> false
+        in
+        let ok =
+          Array.fold_left
+            (fun n c -> if ok_cell c then n + 1 else n)
+            0 result.Campaign.cells
         in
         [
           name;

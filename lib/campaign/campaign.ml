@@ -218,11 +218,9 @@ type aggregate = {
   max_spread : float option;
 }
 
-type result = {
-  spec : Spec.t;
-  results : task_result array;
-  aggregate : aggregate;
-}
+type cell = (Json.t, string) Stdlib.result
+
+type result = { spec : Spec.t; cells : cell array; aggregate : aggregate }
 
 (* ------------------------------------------------------------------ *)
 (* seed schedule *)
@@ -610,39 +608,6 @@ let merge_spread a b =
   | None, x | x, None -> x
   | Some a, Some b -> Some (Float.max a b)
 
-let fold_task agg tr =
-  match tr.result with
-  | Ok o ->
-      let b p = if p then 1 else 0 in
-      {
-        tasks = agg.tasks + 1;
-        (* a genuine in-model failure; Excused grades count separately *)
-        violations =
-          (agg.violations
-          + b (match o.Runner.grade with Aat_engine.Verdict.Violated _ -> true | _ -> false));
-        errors = agg.errors;
-        timeouts =
-          (agg.timeouts
-          + b (match o.Runner.status with Runner.Timed_out _ -> true | _ -> false));
-        engine_errors =
-          (agg.engine_errors
-          + b (match o.Runner.status with Runner.Errored _ -> true | _ -> false));
-        excused = agg.excused + b (Runner.excused o);
-        total_rounds = agg.total_rounds + o.Runner.rounds_used;
-        total_honest_messages =
-          agg.total_honest_messages + o.Runner.honest_messages;
-        total_adversary_messages =
-          agg.total_adversary_messages + o.Runner.adversary_messages;
-        max_spread = merge_spread agg.max_spread o.Runner.spread;
-      }
-  | Error _ ->
-      {
-        agg with
-        tasks = agg.tasks + 1;
-        violations = agg.violations + 1;
-        errors = agg.errors + 1;
-      }
-
 type cell_grade = Passed | Violated | Excused
 
 let cell_grade_label = function
@@ -670,12 +635,10 @@ let classify_outcome_json j =
   in
   (grade, status)
 
-(* The service-side twin of [fold_task]: fold an outcome already in its
-   JSON rendering (as shipped over the wire or resumed from a record
-   file) into the aggregate. Field-for-field equivalent to [fold_task]
-   composed with [json_of_outcome]: grade and status come from
-   [classify_outcome_json], and the totals read the always-present
-   headline numbers. *)
+(* The one aggregate fold: one cell, in its [json_of_outcome] rendering
+   (fresh from [run_cell], shipped over the service wire or resumed from
+   a record file). Grade and status come from [classify_outcome_json];
+   the totals read the always-present headline numbers. *)
 let fold_outcome_json agg payload =
   match payload with
   | Error _ ->
@@ -711,29 +674,6 @@ let fold_outcome_json agg payload =
             | Some (Json.Num s) -> Some s
             | _ -> None);
       }
-
-let run ?(workers = 1) ?telemetry ?(profile = false) (spec : Spec.t) =
-  (match Spec.validate spec with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Campaign.run: " ^ msg));
-  let seeds = task_seeds ~base_seed:spec.base_seed ~count:spec.repetitions in
-  let results =
-    Pool.map ~workers spec.repetitions (fun i ->
-        let task_seed = seeds.(i) in
-        let result =
-          try
-            let runner, engine_seed = instantiate spec ~task_seed in
-            let sink =
-              match telemetry with None -> None | Some f -> f ~task:i
-            in
-            Ok (runner.Runner.run ~seed:engine_seed ?telemetry:sink ~profile ())
-          with exn -> Error (Printexc.to_string exn)
-        in
-        { task = i; task_seed; result })
-  in
-  (* Fold in task order: the aggregate never sees completion order. *)
-  let aggregate = Array.fold_left fold_task empty_aggregate results in
-  { spec; results; aggregate }
 
 (* ------------------------------------------------------------------ *)
 (* JSONL result stream *)
@@ -837,23 +777,12 @@ let json_of_outcome (o : Runner.outcome) =
     @ status_fields o @ grade_fields o @ fault_fields o @ violation_fields o
     @ profile_fields o)
 
-let json_of_task_result tr =
-  Json.Obj
-    ([
-       ("type", Json.Str "task");
-       ("task", num tr.task);
-       ("task_seed", num tr.task_seed);
-     ]
-    @
-    match tr.result with
-    | Ok o -> [ ("outcome", json_of_outcome o) ]
-    | Error e -> [ ("error", Json.Str e) ])
+(* Profile numbers are wall-clock: the outcome digest and the service
+   wire both drop the block, which is the last field when present. *)
+let without_profile = function
+  | Json.Obj kvs -> Json.Obj (List.filter (fun (k, _) -> k <> "profile") kvs)
+  | j -> j
 
-(* Re-render a task line from a payload already in JSON form — the
-   service wire path: workers ship rendered outcome JSON, the
-   coordinator parses and re-renders the line in task order.
-   Byte-identical to [json_of_task_result] on the same outcome because
-   [Json] parse/render round-trips exactly. *)
 let json_of_task_line ~task ~task_seed payload =
   Json.Obj
     ([
@@ -865,6 +794,44 @@ let json_of_task_line ~task ~task_seed payload =
     match payload with
     | Ok o -> [ ("outcome", o) ]
     | Error e -> [ ("error", Json.Str e) ])
+
+let json_of_task_result tr =
+  json_of_task_line ~task:tr.task ~task_seed:tr.task_seed
+    (Result.map json_of_outcome tr.result)
+
+let fold_task agg tr =
+  fold_outcome_json agg (Result.map json_of_outcome tr.result)
+
+(* One campaign cell: instantiate from the task seed, run with the derived
+   engine seed, render. Instantiation exceptions become [Error]; runs
+   themselves never raise. [telemetry] is asked for its sink only once
+   the task has instantiated. *)
+let run_cell ?(telemetry = fun () -> None) ?(profile = false) spec ~task_seed =
+  try
+    let runner, engine_seed = instantiate spec ~task_seed in
+    let telemetry = telemetry () in
+    Ok (json_of_outcome (runner.Runner.run ~seed:engine_seed ?telemetry ~profile ()))
+  with exn -> Error (Printexc.to_string exn)
+
+let run ?(workers = 1) ?telemetry ?profile (spec : Spec.t) =
+  (match Spec.validate spec with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Campaign.run: " ^ msg));
+  let seeds = task_seeds ~base_seed:spec.base_seed ~count:spec.repetitions in
+  let cells =
+    Pool.map ~workers spec.repetitions (fun i ->
+        let telemetry = Option.map (fun f () -> f ~task:i) telemetry in
+        run_cell ?telemetry ?profile spec ~task_seed:seeds.(i))
+  in
+  (* Fold in task order: the aggregate never sees completion order. *)
+  let aggregate = Array.fold_left fold_outcome_json empty_aggregate cells in
+  { spec; cells; aggregate }
+
+let seeded_cells r =
+  let seeds =
+    task_seeds ~base_seed:r.spec.Spec.base_seed ~count:(Array.length r.cells)
+  in
+  List.init (Array.length r.cells) (fun i -> (i, seeds.(i), r.cells.(i)))
 
 (* The header deliberately omits the worker count: the stream must be
    byte-identical however the campaign was scheduled. It carries the
@@ -909,8 +876,14 @@ let json_footer agg =
 
 let jsonl_lines r =
   (json_header r.spec
-  :: List.map json_of_task_result (Array.to_list r.results))
+  :: List.map
+       (fun (task, task_seed, cell) -> json_of_task_line ~task ~task_seed cell)
+       (seeded_cells r))
   @ [ json_footer r.aggregate ]
+
+let jsonl_string r =
+  String.concat ""
+    (List.map (fun line -> Json.to_string line ^ "\n") (jsonl_lines r))
 
 let write_jsonl oc r =
   List.iter
@@ -919,7 +892,3 @@ let write_jsonl oc r =
       output_char oc '\n')
     (jsonl_lines r);
   flush oc
-
-let jsonl_string r =
-  String.concat ""
-    (List.map (fun line -> Json.to_string line ^ "\n") (jsonl_lines r))

@@ -6,7 +6,8 @@
     tasks, derives a deterministic per-task seed for each ({!task_seeds} —
     splitting the base seed through the SplitMix64 stream, so the seeds
     are a pure function of [(base_seed, index)]), fans the tasks out over
-    a {!Pool}, and folds the outcomes in task order.
+    a {!Pool}, renders each cell's outcome inside its pool task
+    ({!run_cell}) and folds the rendered cells in task order.
 
     {b Determinism contract}: everything a task does — drawing its tree,
     parties, inputs and adversary, and seeding the engine — is derived
@@ -124,6 +125,9 @@ type task_result = {
           liveness timeouts and engine errors arrive as structured
           {!Runner.status} values inside [Ok] outcomes *)
 }
+(** One typed cell, for drivers that run {!instantiate}d tasks themselves
+    (the repository benchmark's traced pass). {!fold_task} and
+    {!json_of_task_result} read it through {!json_of_outcome}. *)
 
 type aggregate = {
   tasks : int;
@@ -141,10 +145,16 @@ type aggregate = {
       (** across real-valued tasks; [None] if no task reported one *)
 }
 
+type cell = (Aat_telemetry.Jsonx.t, string) Stdlib.result
+(** The one campaign cell form: the {!json_of_outcome} rendering of the
+    task's outcome, or the instantiation error text. {!run}, the campaign
+    service, the aggregate fold, the stream writer, the flight recorder
+    and the metrics all read cells in this form. *)
+
 type result = {
   spec : Spec.t;
-  results : task_result array;  (** in task order *)
-  aggregate : aggregate;
+  cells : cell array;  (** in task order *)
+  aggregate : aggregate;  (** {!fold_outcome_json} over [cells] *)
 }
 
 val task_seeds : base_seed:int -> count:int -> int array
@@ -164,6 +174,19 @@ val instantiate : Spec.t -> task_seed:int -> Runner.t * int
     attaching a per-task telemetry sink). Raises [Invalid_argument] on
     spec/protocol mismatches (see {!Spec.validate}). *)
 
+val run_cell :
+  ?telemetry:(unit -> Aat_telemetry.Telemetry.Sink.t option) ->
+  ?profile:bool ->
+  Spec.t ->
+  task_seed:int ->
+  cell
+(** One cell: {!instantiate}, run with the derived engine seed, render
+    with {!json_of_outcome}. An instantiation exception becomes [Error]
+    (its [Printexc.to_string]). [telemetry] is asked for the run's sink
+    after instantiation succeeds; [profile] (default [false]) adds the
+    outcome's ["profile"] block. {!run}'s pool tasks and the campaign
+    service's workers both call this. *)
+
 val run :
   ?workers:int ->
   ?telemetry:(task:int -> Aat_telemetry.Telemetry.Sink.t option) ->
@@ -174,16 +197,18 @@ val run :
     bit-identical for every worker count. [telemetry], if given, supplies
     a per-task sink ([task] is the task index) — sinks may be invoked from
     pool worker domains concurrently, so distinct tasks must get distinct
-    (or domain-safe) sinks. [profile] (default [false]) fills each
-    outcome's {!Runner.stage_profile}; the timing values themselves are
-    wall-clock measurements and sit outside the determinism contract. *)
+    (or domain-safe) sinks. [profile] (default [false]) adds each
+    outcome's {!Runner.stage_profile} as its ["profile"] block; the timing
+    values themselves are wall-clock measurements and sit outside the
+    determinism contract. *)
+
+val seeded_cells : result -> (int * int * cell) list
+(** [(task, task_seed, cell)] for every cell, in task order. *)
 
 val empty_aggregate : aggregate
 
 val fold_task : aggregate -> task_result -> aggregate
-(** Fold one task result into the aggregate. [run] folds in task index
-    order; external drivers (the campaign service) must do the same so
-    the aggregate never depends on completion order. *)
+(** [fold_outcome_json] on the rendered typed cell. *)
 
 (** How one cell's outcome reads in the aggregate and the metrics. *)
 type cell_grade = Passed | Violated | Excused
@@ -193,19 +218,19 @@ val cell_grade_label : cell_grade -> string
 
 val classify_outcome_json : Aat_telemetry.Jsonx.t -> cell_grade * string
 (** The one classifier of a {!json_of_outcome} payload, shared by
-    {!fold_outcome_json} and the observability layer's metrics fold:
+    {!fold_outcome_json}, the flight recorder's failing-cell rule and
+    the observability layer's metrics fold:
     the cell's grade and its status label (["completed"] when the
     payload carries none). [Excused] when the payload's grade is
     excused; otherwise [Passed] only when [termination], [validity] and
     [agreement] are all present and true — a missing field counts as
     failed. *)
 
-val fold_outcome_json :
-  aggregate -> (Aat_telemetry.Jsonx.t, string) Stdlib.result -> aggregate
-(** The service-side twin of {!fold_task}: fold an outcome already in
-    its {!json_of_outcome} rendering (as shipped over the service wire
-    or resumed from a flight record) into the aggregate. Equivalent to
-    [fold_task] on the outcome the JSON was rendered from. *)
+val fold_outcome_json : aggregate -> cell -> aggregate
+(** The one aggregate fold: fold a {!cell} — fresh from {!run_cell},
+    shipped over the service wire or resumed from a flight record — into
+    the aggregate. Callers fold in task index order, so the aggregate
+    never depends on completion order. *)
 
 val json_of_outcome : Runner.outcome -> Aat_telemetry.Jsonx.t
 (** One task outcome as the ["task"]-line payload (without the task/seed
@@ -213,16 +238,18 @@ val json_of_outcome : Runner.outcome -> Aat_telemetry.Jsonx.t
     watchdog accounting, and — on profiled runs — the stage profile.
     Exposed for the observability layer's outcome digests. *)
 
-val json_of_task_result : task_result -> Aat_telemetry.Jsonx.t
+val without_profile : Aat_telemetry.Jsonx.t -> Aat_telemetry.Jsonx.t
+(** The outcome minus its wall-clock ["profile"] block: what the outcome
+    digest hashes and what service workers ship. *)
 
 val json_of_task_line :
-  task:int ->
-  task_seed:int ->
-  (Aat_telemetry.Jsonx.t, string) Stdlib.result ->
-  Aat_telemetry.Jsonx.t
-(** Re-render a ["task"] line from a payload already in JSON form — the
-    service wire path. Byte-identical to {!json_of_task_result} on the
-    same outcome, because [Jsonx] parse/render round-trips exactly. *)
+  task:int -> task_seed:int -> cell -> Aat_telemetry.Jsonx.t
+(** The one ["task"]-line renderer. A cell parsed back from the service
+    wire renders to the same bytes, because [Jsonx] parse/render
+    round-trips exactly. *)
+
+val json_of_task_result : task_result -> Aat_telemetry.Jsonx.t
+(** [json_of_task_line] on the rendered typed cell. *)
 
 val json_header : Spec.t -> Aat_telemetry.Jsonx.t
 (** The ["campaign-start"] header object. Carries the telemetry

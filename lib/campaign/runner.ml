@@ -171,42 +171,52 @@ let conclude ~runner ~seed ~engine ~excuse ~check ~spread
         status = Errored { stage; exn_text };
       }
 
+(* The run scaffold both engines share. [setup] gets the compiled fault
+   filter, builds fresh protocol/adversary/watchdog instances and returns
+   the engine run; an exception from either is staged "engine", one from
+   grading "check". [~profile:true] times the three stages. *)
+let staged_run ~runner ~engine ~seed ~profile ~fault_plan ~check ~spread setup =
+  let label = match engine with `Sync -> "sync" | `Async -> "async" in
+  let t0 = now profile in
+  let a0 = if profile then Gc.allocated_bytes () else 0. in
+  match
+    let fault_filter =
+      if Plan.is_empty fault_plan then None
+      else Some (Inject.filter ~engine ~seed fault_plan)
+    in
+    let execute = setup fault_filter in
+    let t1 = now profile in
+    let engine_outcome = execute () in
+    (engine_outcome, t1, now profile)
+  with
+  | exception exn -> errored ~runner ~seed ~engine:label ~stage:"engine" exn
+  | engine_outcome, t1, t2 -> (
+      try
+        let o =
+          conclude ~runner ~seed ~engine:label ~excuse:(excuse_of fault_plan)
+            ~check ~spread engine_outcome
+        in
+        if profile then
+          { o with profile = Some (stage_profile ~t0 ~t1 ~t2 ~t3:(now profile) ~a0) }
+        else o
+      with exn -> errored ~runner ~seed ~engine:label ~stage:"check" exn)
+
 let of_protocol ~name ~n ~t ~max_rounds ~protocol ~adversary ?observe
     ?(fault_plan = Plan.empty) ?(watchdogs = fun () -> []) ~check
     ?(spread = fun _ -> None) () =
   let run ~seed ?telemetry ?(profile = false) () =
-    let t0 = now profile in
-    let a0 = if profile then Gc.allocated_bytes () else 0. in
-    match
-      let fault_filter =
-        if Plan.is_empty fault_plan then None
-        else Some (Inject.filter ~engine:`Sync ~seed fault_plan)
-      in
-      let protocol = protocol () in
-      let adversary = adversary () in
-      let watchdogs = watchdogs () in
-      let t1 = now profile in
-      let engine_outcome =
-        Sync_engine.run_outcome ~n ~t ~seed ?telemetry ~profile ?observe
-          ?fault_filter
-          ~crash_faults:(Plan.crashes fault_plan)
-          ~watchdogs
-          ~max_rounds:(max 1 max_rounds)
-          ~protocol ~adversary ()
-      in
-      (engine_outcome, t1, now profile)
-    with
-    | exception exn -> errored ~runner:name ~seed ~engine:"sync" ~stage:"engine" exn
-    | engine_outcome, t1, t2 -> (
-        try
-          let o =
-            conclude ~runner:name ~seed ~engine:"sync"
-              ~excuse:(excuse_of fault_plan) ~check ~spread engine_outcome
-          in
-          if profile then
-            { o with profile = Some (stage_profile ~t0 ~t1 ~t2 ~t3:(now profile) ~a0) }
-          else o
-        with exn -> errored ~runner:name ~seed ~engine:"sync" ~stage:"check" exn)
+    staged_run ~runner:name ~engine:`Sync ~seed ~profile ~fault_plan ~check
+      ~spread (fun fault_filter ->
+        let protocol = protocol () in
+        let adversary = adversary () in
+        let watchdogs = watchdogs () in
+        fun () ->
+          Sync_engine.run_outcome ~n ~t ~seed ?telemetry ~profile ?observe
+            ?fault_filter
+            ~crash_faults:(Plan.crashes fault_plan)
+            ~watchdogs
+            ~max_rounds:(max 1 max_rounds)
+            ~protocol ~adversary ())
   in
   { name; run }
 
@@ -366,36 +376,16 @@ let run_async (type s m o) ~runner ~n ~t ~max_events ~fault_plan ~watchdogs
     ~(reactor : unit -> (s, m, o) Aat_async.Async_engine.reactor)
     ~(adversary : unit -> m Aat_async.Async_engine.adversary) ~check
     ?(spread = fun _ -> None) ~seed ?telemetry ?(profile = false) () =
-  let t0 = now profile in
-  let a0 = if profile then Gc.allocated_bytes () else 0. in
-  match
-    let fault_filter =
-      if Plan.is_empty fault_plan then None
-      else Some (Inject.filter ~engine:`Async ~seed fault_plan)
-    in
-    let reactor = reactor () in
-    let adversary = adversary () in
-    let watchdogs = watchdogs () in
-    let t1 = now profile in
-    let engine_outcome =
-      Aat_async.Async_engine.run_outcome ~n ~t ~seed ?telemetry ~profile
-        ~max_events ?fault_filter
-        ~crash_faults:(Plan.crashes fault_plan)
-        ~watchdogs ~reactor ~adversary ()
-    in
-    (engine_outcome, t1, now profile)
-  with
-  | exception exn -> errored ~runner ~seed ~engine:"async" ~stage:"engine" exn
-  | engine_outcome, t1, t2 -> (
-      try
-        let o =
-          conclude ~runner ~seed ~engine:"async" ~excuse:(excuse_of fault_plan)
-            ~check ~spread engine_outcome
-        in
-        if profile then
-          { o with profile = Some (stage_profile ~t0 ~t1 ~t2 ~t3:(now profile) ~a0) }
-        else o
-      with exn -> errored ~runner ~seed ~engine:"async" ~stage:"check" exn)
+  staged_run ~runner ~engine:`Async ~seed ~profile ~fault_plan ~check ~spread
+    (fun fault_filter ->
+      let reactor = reactor () in
+      let adversary = adversary () in
+      let watchdogs = watchdogs () in
+      fun () ->
+        Aat_async.Async_engine.run_outcome ~n ~t ~seed ?telemetry ~profile
+          ~max_events ?fault_filter
+          ~crash_faults:(Plan.crashes fault_plan)
+          ~watchdogs ~reactor ~adversary ())
 
 (* Maximum pairwise tree distance of a vertex set — the output spread of
    the tree-valued protocols, in the paper's metric. BFS per distinct

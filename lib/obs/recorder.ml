@@ -18,7 +18,6 @@ module Json = Aat_telemetry.Jsonx
 module Telemetry = Aat_telemetry.Telemetry
 module Campaign = Aat_campaign.Campaign
 module Runner = Aat_campaign.Runner
-module Verdict = Aat_engine.Verdict
 
 type t = {
   spec : Campaign.Spec.t;
@@ -33,12 +32,7 @@ type t = {
    profile numbers are wall-clock measurements, so a record made with
    profiling on must still replay clean with profiling off. *)
 let digest_of_outcome_json j =
-  let json =
-    match j with
-    | Json.Obj kvs -> Json.Obj (List.filter (fun (k, _) -> k <> "profile") kvs)
-    | j -> j
-  in
-  Digest.to_hex (Digest.string (Json.to_string json))
+  Digest.to_hex (Digest.string (Json.to_string (Campaign.without_profile j)))
 
 let digest_of_outcome o = digest_of_outcome_json (Campaign.json_of_outcome o)
 
@@ -59,6 +53,19 @@ let verify_outcome t =
           (Printf.sprintf "outcome digest mismatch (recorded %s, actual %s)" d
              actual)
 
+(* The one cell-to-record builder: the engine seed is the outcome's
+   ["seed"], the digest pins the outcome minus its profile block. *)
+let of_outcome_json ?(trace = Trace.empty) ~spec ~task_seed outcome =
+  {
+    spec;
+    task_seed;
+    engine_seed =
+      Option.value ~default:0 (Option.bind (Json.member "seed" outcome) Json.to_int);
+    trace;
+    outcome = Some outcome;
+    digest = Some (digest_of_outcome_json outcome);
+  }
+
 let record ?(profile = false) spec ~task_seed =
   match Campaign.Spec.validate spec with
   | Error m -> Error m
@@ -72,51 +79,28 @@ let record ?(profile = false) spec ~task_seed =
               ~telemetry:(Telemetry.Stats.sink stats) ~profile ()
           in
           let t =
-            {
-              spec;
-              task_seed;
-              engine_seed;
-              trace = Trace.of_stats stats;
-              outcome = Some (Campaign.json_of_outcome outcome);
-              digest = Some (digest_of_outcome outcome);
-            }
+            of_outcome_json ~trace:(Trace.of_stats stats) ~spec ~task_seed
+              (Campaign.json_of_outcome outcome)
           in
           Ok (t, outcome))
 
 (* ------------------------------------------------------------------ *)
 (* repro records for failing campaign cells *)
 
-let repro_of ~spec (tr : Campaign.task_result) =
-  match tr.Campaign.result with
-  | Error _ -> None (* instantiation failed: no engine seed to replay *)
-  | Ok o ->
-      Some
-        {
-          spec;
-          task_seed = tr.Campaign.task_seed;
-          engine_seed = o.Runner.seed;
-          trace = Trace.empty;
-          outcome = Some (Campaign.json_of_outcome o);
-          digest = Some (digest_of_outcome o);
-        }
-
-let failing (tr : Campaign.task_result) =
-  match tr.Campaign.result with
-  | Error _ -> true
-  | Ok o -> (
-      match (o.Runner.grade, o.Runner.status) with
-      | Verdict.Violated _, _ -> true
-      | _, Runner.Errored _ -> true
-      | _ -> false)
+(* A genuine failure: graded Violated, or the engine errored. Cells that
+   failed to instantiate have no engine seed to replay. *)
+let failing outcome =
+  let grade, status = Campaign.classify_outcome_json outcome in
+  grade = Campaign.Violated || status = "engine-error"
 
 let failing_cells (result : Campaign.result) =
-  Array.to_list result.Campaign.results
-  |> List.filter_map (fun tr ->
-         if failing tr then
-           Option.map
-             (fun r -> (tr.Campaign.task, r))
-             (repro_of ~spec:result.Campaign.spec tr)
-         else None)
+  List.filter_map
+    (fun (task, task_seed, cell) ->
+      match cell with
+      | Ok outcome when failing outcome ->
+          Some (task, of_outcome_json ~spec:result.Campaign.spec ~task_seed outcome)
+      | _ -> None)
+    (Campaign.seeded_cells result)
 
 (* ------------------------------------------------------------------ *)
 (* serialization *)

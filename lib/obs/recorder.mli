@@ -35,8 +35,7 @@ val digest_of_outcome : Aat_campaign.Runner.outcome -> string
 
 val digest_of_outcome_json : Aat_telemetry.Jsonx.t -> string
 (** The same digest computed from an outcome already in its JSON
-    rendering — the campaign service checkpoints cells it only ever
-    sees as wire JSON. *)
+    rendering — the campaign cell form. *)
 
 val verify_outcome : t -> (unit, string) result
 (** Checkpoint integrity: [Ok ()] iff the record carries an outcome
@@ -53,16 +52,24 @@ val record :
     telemetry sink; returns the record and the live outcome. [profile]
     additionally attaches cost samples (the digest ignores them). *)
 
-val repro_of :
-  spec:Aat_campaign.Campaign.Spec.t -> Aat_campaign.Campaign.task_result -> t option
-(** The minimal repro record for one campaign cell: spec + seeds +
-    outcome digest, no events. [None] if the cell failed to instantiate
-    (nothing to replay). *)
+val of_outcome_json :
+  ?trace:Trace.t ->
+  spec:Aat_campaign.Campaign.Spec.t ->
+  task_seed:int ->
+  Aat_telemetry.Jsonx.t ->
+  t
+(** The one record builder, from a campaign cell's outcome JSON: the
+    engine seed is the outcome's ["seed"], the digest is
+    {!digest_of_outcome_json}. [trace] defaults to empty — a {e repro}
+    record, or a service checkpoint; the CLI's [--record-dir] passes the
+    cell's recorded trace. *)
 
 val failing_cells : Aat_campaign.Campaign.result -> (int * t) list
 (** [(task index, repro record)] for every cell that genuinely failed:
-    graded [Violated], engine-errored, or failed to instantiate (the
-    latter produce no record). Excused failures are not included. *)
+    {!Aat_campaign.Campaign.classify_outcome_json} grades it [Violated],
+    or its status is ["engine-error"]. Cells that failed to instantiate
+    have nothing to replay and produce no record; excused failures are
+    not included. *)
 
 (** {1 Serialization} *)
 

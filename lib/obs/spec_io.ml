@@ -387,3 +387,20 @@ let of_json j =
       repetitions;
       base_seed;
     }
+
+(* Spec files are the same JSON flight-record headers embed: one file
+   describes a whole campaign grid. *)
+let of_file path =
+  let ( let* ) = Result.bind in
+  let* contents =
+    try Ok (In_channel.with_open_bin path In_channel.input_all)
+    with Sys_error m -> Error m
+  in
+  let* json =
+    Result.map_error
+      (fun m -> Printf.sprintf "%s: not JSON: %s" path m)
+      (Json.of_string (String.trim contents))
+  in
+  Result.map_error
+    (fun m -> Printf.sprintf "%s: bad campaign spec: %s" path m)
+    (of_json json)

@@ -39,3 +39,9 @@ val to_json : Spec.t -> Aat_telemetry.Jsonx.t
 val of_json : Aat_telemetry.Jsonx.t -> (Spec.t, string) result
 (** Inverse of {!to_json}. [No_faults] and [watchdogs = false] are
     encoded by omission, so hand-written minimal spec objects parse. *)
+
+val of_file : string -> (Spec.t, string) result
+(** Read a spec file: {!of_json} over the file's JSON object. Every
+    failure — unreadable file, bad JSON, bad spec — is an [Error] whose
+    message names the file (an unreadable file's is the [Sys_error]
+    text, which does). *)

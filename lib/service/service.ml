@@ -5,10 +5,8 @@
 module Json = Aat_telemetry.Jsonx
 module Telemetry = Aat_telemetry.Telemetry
 module Campaign = Aat_campaign.Campaign
-module Runner = Aat_campaign.Runner
 module Spec_io = Aat_obs.Spec_io
 module Recorder = Aat_obs.Recorder
-module Trace = Aat_obs.Trace
 module Metrics = Aat_obs.Metrics
 module Span = Aat_obs.Span
 module Rng = Aat_util.Rng
@@ -175,25 +173,6 @@ let endpoint_series ~labels reader chaos =
 (* ------------------------------------------------------------------ *)
 (* worker process *)
 
-(* One campaign cell, exactly as [Campaign.run]'s task body computes it:
-   instantiate from the task seed, run with the derived engine seed,
-   catch instantiation/spec exceptions as [Error]. The worker ships the
-   *rendered* outcome JSON — the coordinator re-renders it byte-for-byte
-   (Jsonx round-trips exactly), which is what makes the distributed
-   stream bit-identical to the in-process one. *)
-let run_cell ?(profile = false) spec ~task_seed =
-  try
-    let runner, engine_seed = Campaign.instantiate spec ~task_seed in
-    Ok (runner.Runner.run ~seed:engine_seed ~profile ())
-  with exn -> Error (Printexc.to_string exn)
-
-(* Render an outcome exactly as [Campaign.run]'s task body would have:
-   the profile block (only present when tracing asked for stage spans)
-   is stripped first, so the shipped bytes are identical whether or not
-   the worker profiled the run. *)
-let render_cell outcome =
-  Campaign.json_of_outcome { outcome with Runner.profile = None }
-
 let worker_main ~chaos fd =
   let reader = Wire.Reader.create fd in
   let write_mutex = Mutex.create () in
@@ -345,9 +324,13 @@ let worker_main ~chaos fd =
                 let task = int_field "task" tj in
                 let task_seed = int_field "task_seed" tj in
                 let t0 = Clock.now () in
-                (* profile only when tracing wants the stage breakdown;
-                   the rendered bytes are profile-free either way *)
-                let result = run_cell ~profile:tracing spec ~task_seed in
+                (* The cell exactly as [Campaign.run] computes it, profiled
+                   only when tracing wants the stage breakdown; the shipped
+                   bytes are profile-free either way, and the coordinator
+                   re-renders them byte for byte (Jsonx round-trips
+                   exactly), so the distributed stream is bit-identical to
+                   the in-process one. *)
+                let result = Campaign.run_cell ~profile:tracing spec ~task_seed in
                 let t1 = Clock.now () in
                 (match result with
                 | Ok o when tracing ->
@@ -357,19 +340,17 @@ let worker_main ~chaos fd =
                         ~name:(Printf.sprintf "cell %d" task)
                         ~start:t0 ~stop:t1 ()
                     in
-                    (match o.Runner.profile with
+                    (match Json.member "profile" o with
                     | Some p ->
                         (* reconstruct the stage intervals from their
                            measured durations, laid end to end *)
-                        let s1 =
-                          t0 +. (float_of_int p.Runner.setup_ns /. 1e9)
+                        let after start name =
+                          let ns = Option.bind (Json.member name p) Json.to_float in
+                          start +. (Option.value ns ~default:0. /. 1e9)
                         in
-                        let s2 =
-                          s1 +. (float_of_int p.Runner.rounds_ns /. 1e9)
-                        in
-                        let s3 =
-                          s2 +. (float_of_int p.Runner.checks_ns /. 1e9)
-                        in
+                        let s1 = after t0 "setup_ns" in
+                        let s2 = after s1 "rounds_ns" in
+                        let s3 = after s2 "checks_ns" in
                         let stage name start stop =
                           ignore
                             (Span.complete tracer ~parent:cell_id
@@ -381,7 +362,7 @@ let worker_main ~chaos fd =
                     | None -> ())
                 | _ -> ());
                 incr cells_run;
-                let payload = Result.map render_cell result in
+                let payload = Result.map Campaign.without_profile result in
                 locked_send (cell_msg ~task ~task_seed payload))
               tasks;
             locked_send (simple_msg "shard-done")
@@ -416,24 +397,9 @@ let rec mkdir_p dir =
    holds a complete record or does not exist, however the coordinator
    dies. *)
 let checkpoint ~dir ~spec ~task ~task_seed outcome =
-  let engine_seed =
-    match Option.bind (Json.member "seed" outcome) Json.to_int with
-    | Some s -> s
-    | None -> 0
-  in
-  let record =
-    {
-      Recorder.spec;
-      task_seed;
-      engine_seed;
-      trace = Trace.empty;
-      outcome = Some outcome;
-      digest = Some (Recorder.digest_of_outcome_json outcome);
-    }
-  in
   let path = cell_path dir task in
   let tmp = path ^ ".tmp" in
-  Recorder.write_file tmp record;
+  Recorder.write_file tmp (Recorder.of_outcome_json ~spec ~task_seed outcome);
   Sys.rename tmp path
 
 (* Untrusted files never block a resume: they are moved aside into
@@ -674,19 +640,15 @@ let run ?(workers = 1) ?record_dir ?(heartbeat_period = 0.25)
               (Json.to_string (Span.to_json tracer) ^ "\n")
       in
       let finish ~status ~spawned ~shards ~failures =
-        let aggregate =
-          Array.fold_left
-            (fun agg c ->
-              match c with
-              | Some p -> Campaign.fold_outcome_json agg p
-              | None -> agg)
-            Campaign.empty_aggregate cells
+        (* in task order, over the cells done so far *)
+        let fold agg =
+          Option.fold ~none:agg ~some:(Campaign.fold_outcome_json agg)
         in
         {
           status;
           spec;
           cells;
-          aggregate;
+          aggregate = Array.fold_left fold Campaign.empty_aggregate cells;
           manifest =
             {
               tasks = reps;
@@ -1321,34 +1283,20 @@ let run ?(workers = 1) ?record_dir ?(heartbeat_period = 0.25)
 (* ------------------------------------------------------------------ *)
 (* result stream + manifest *)
 
-let jsonl_lines r =
-  (match r.status with
-  | Completed -> ()
+let campaign_result r =
+  match r.status with
   | Halted _ ->
-      invalid_arg "Service.jsonl_lines: halted campaign (resume it first)");
-  let reps = r.spec.Campaign.Spec.repetitions in
-  let seeds =
-    Campaign.task_seeds ~base_seed:r.spec.Campaign.Spec.base_seed ~count:reps
-  in
-  (Campaign.json_header r.spec
-  :: List.init reps (fun i ->
-         match r.cells.(i) with
-         | Some payload ->
-             Campaign.json_of_task_line ~task:i ~task_seed:seeds.(i) payload
-         | None -> assert false (* Completed means every cell is present *)))
-  @ [ Campaign.json_footer r.aggregate ]
+      invalid_arg "Service: halted campaign (resume it first)"
+  | Completed ->
+      (* Completed means every cell is present *)
+      {
+        Campaign.spec = r.spec;
+        cells = Array.map Option.get r.cells;
+        aggregate = r.aggregate;
+      }
 
-let jsonl_string r =
-  String.concat ""
-    (List.map (fun line -> Json.to_string line ^ "\n") (jsonl_lines r))
-
-let write_jsonl oc r =
-  List.iter
-    (fun line ->
-      output_string oc (Json.to_string line);
-      output_char oc '\n')
-    (jsonl_lines r);
-  flush oc
+let jsonl_string r = Campaign.jsonl_string (campaign_result r)
+let write_jsonl oc r = Campaign.write_jsonl oc (campaign_result r)
 
 let manifest_json r =
   let m = r.manifest in

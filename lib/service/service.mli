@@ -46,13 +46,15 @@
     reproduce the exact baseline stream; the drills in
     [test/test_service.ml] and [bin/service_smoke.ml] enforce it.
 
-    {b Determinism}: workers ship outcomes as rendered
-    {!Aat_campaign.Campaign.json_of_outcome} JSON; [Jsonx] parse/render
-    round-trips byte-exactly, and the coordinator re-renders lines and
-    folds the aggregate in task order — so {!jsonl_string} is
-    bit-identical to [Campaign.jsonl_string] of an uninterrupted
-    single-process run, whatever the worker count, crash history, chaos
-    plan or resume path. The test suite enforces this. *)
+    {b Determinism}: workers compute each cell with
+    {!Aat_campaign.Campaign.run_cell}, the function [Campaign.run]'s pool
+    tasks call, and ship it minus its profile block; [Jsonx] parse/render
+    round-trips byte-exactly, and the coordinator folds the cells in task
+    order with {!Aat_campaign.Campaign.fold_outcome_json} — so the
+    result is a [Campaign.result] ({!campaign_result}) bit-identical to
+    an uninterrupted single-process run's, whatever the worker count,
+    crash history, chaos plan or resume path. The test suite enforces
+    this. *)
 
 type failure = {
   slot : int;  (** the worker slot that permanently failed *)
@@ -87,9 +89,9 @@ type status =
 type result = {
   status : status;
   spec : Aat_campaign.Campaign.Spec.t;
-  cells : (Aat_telemetry.Jsonx.t, string) Stdlib.result option array;
-      (** per-task outcome payloads, indexed by task; [None] only on a
-          [Halted] run *)
+  cells : Aat_campaign.Campaign.cell option array;
+      (** per-task cells, indexed by task; [None] only on a [Halted]
+          run *)
   aggregate : Aat_campaign.Campaign.aggregate;
       (** folded in task order over the completed cells *)
   manifest : manifest;
@@ -155,13 +157,16 @@ val run :
     killing and reaping all workers — and returns [Halted], simulating a
     coordinator crash whose [record_dir] a second [run] resumes from. *)
 
-val jsonl_lines : result -> Aat_telemetry.Jsonx.t list
-(** The campaign JSONL stream — header, one task line per cell in task
-    order, footer — bit-identical to [Campaign.jsonl_lines] of the same
-    spec run in-process. Raises [Invalid_argument] on a [Halted] result
-    (resume it first). *)
+val campaign_result : result -> Aat_campaign.Campaign.result
+(** The completed campaign in the one cell form, equal to the same
+    spec's [Campaign.run] result (profile blocks aside). Raises
+    [Invalid_argument] on a [Halted] result (resume it first). *)
 
 val jsonl_string : result -> string
+(** [Campaign.jsonl_string] of {!campaign_result}: the same stream an
+    in-process run writes. Raises [Invalid_argument] on a [Halted]
+    result. *)
+
 val write_jsonl : out_channel -> result -> unit
 
 val manifest_json : result -> Aat_telemetry.Jsonx.t

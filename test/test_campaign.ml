@@ -162,8 +162,8 @@ let prop_workers_invariant =
       let r1 = Campaign.run ~workers:1 spec in
       let r2 = Campaign.run ~workers:2 spec in
       let r4 = Campaign.run ~workers:4 spec in
-      r1.Campaign.results = r2.Campaign.results
-      && r2.Campaign.results = r4.Campaign.results
+      r1.Campaign.cells = r2.Campaign.cells
+      && r2.Campaign.cells = r4.Campaign.cells
       && r1.Campaign.aggregate = r4.Campaign.aggregate
       && Campaign.jsonl_string r1 = Campaign.jsonl_string r2
       && Campaign.jsonl_string r2 = Campaign.jsonl_string r4)
@@ -181,8 +181,8 @@ let prop_workers_invariant_chaos =
       let r1 = Campaign.run ~workers:1 spec in
       let r2 = Campaign.run ~workers:2 spec in
       let r4 = Campaign.run ~workers:4 spec in
-      r1.Campaign.results = r2.Campaign.results
-      && r2.Campaign.results = r4.Campaign.results
+      r1.Campaign.cells = r2.Campaign.cells
+      && r2.Campaign.cells = r4.Campaign.cells
       && r1.Campaign.aggregate = r4.Campaign.aggregate
       && Campaign.jsonl_string r1 = Campaign.jsonl_string r4)
 
@@ -197,11 +197,18 @@ let prop_task_seeds_in_results =
         Campaign.task_seeds ~base_seed:spec.Campaign.Spec.base_seed
           ~count:spec.Campaign.Spec.repetitions
       in
-      Array.length r.Campaign.results = spec.Campaign.Spec.repetitions
-      && Array.for_all
-           (fun (tr : Campaign.task_result) ->
-             tr.Campaign.task_seed = schedule.(tr.Campaign.task))
-           r.Campaign.results)
+      (* each cell ran on the engine seed its scheduled task seed derives *)
+      Array.length r.Campaign.cells = spec.Campaign.Spec.repetitions
+      && List.for_all
+           (fun (task, task_seed, cell) ->
+             task_seed = schedule.(task)
+             &&
+             match cell with
+             | Ok o ->
+                 Option.bind (Telemetry.Json.member "seed" o) Telemetry.Json.to_int
+                 = Some (snd (Campaign.instantiate spec ~task_seed))
+             | Error _ -> false)
+           (Campaign.seeded_cells r))
 
 (* ------------------------------------------------------------------ *)
 (* JSONL stream *)
@@ -246,7 +253,7 @@ let test_jsonl_roundtrip () =
     |> List.filter (fun l -> l <> "")
     |> List.map (fun l -> Result.get_ok (Telemetry.Json.of_string l))
   in
-  check_int "line count" (Array.length r.Campaign.results + 2)
+  check_int "line count" (Array.length r.Campaign.cells + 2)
     (List.length lines);
   let field name json = Option.get (Telemetry.Json.member name json) in
   let ty json = Option.get (Telemetry.Json.to_str (field "type" json)) in
@@ -326,12 +333,11 @@ let test_one_bad_cell () =
   in
   let r = Campaign.run ~workers:2 spec in
   let statuses =
-    Array.map
-      (fun (tr : Campaign.task_result) ->
-        match tr.Campaign.result with
-        | Ok o -> Runner.status_label o.Runner.status
-        | Error e -> Alcotest.failf "task %d escaped as Error %s" tr.Campaign.task e)
-      r.Campaign.results
+    Array.mapi
+      (fun task -> function
+        | Ok o -> snd (Campaign.classify_outcome_json o)
+        | Error e -> Alcotest.failf "task %d escaped as Error %s" task e)
+      r.Campaign.cells
   in
   check_int "all six cells report" 6 (Array.length statuses);
   let count l = Array.fold_left (fun a x -> a + if x = l then 1 else 0) 0 statuses in

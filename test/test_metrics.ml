@@ -229,12 +229,9 @@ let campaign_series snap =
       && String.sub s.M.Snapshot.name 0 9 = "campaign_")
     snap
 
-let fold_results results =
+let fold_results cells =
   let reg = M.create () in
-  Array.iter
-    (fun (tr : Campaign.task_result) ->
-      M.record_cell reg (Result.map Campaign.json_of_outcome tr.Campaign.result))
-    results;
+  Array.iter (M.record_cell reg) cells;
   M.snapshot reg
 
 (* The campaign aggregate and the metrics fold classify a cell through
@@ -273,7 +270,7 @@ let test_missing_verdict_field () =
 let test_inprocess_bit_identity () =
   let spec = spec 8 in
   let baseline =
-    json_bytes (fold_results (Campaign.run ~workers:1 spec).Campaign.results)
+    json_bytes (fold_results (Campaign.run ~workers:1 spec).Campaign.cells)
   in
   check "baseline has campaign series" true (baseline <> json_bytes []);
   List.iter
@@ -281,7 +278,7 @@ let test_inprocess_bit_identity () =
       let bytes =
         in_child (fun () ->
             json_bytes
-              (fold_results (Campaign.run ~workers:w spec).Campaign.results))
+              (fold_results (Campaign.run ~workers:w spec).Campaign.cells))
       in
       check_string (Printf.sprintf "workers %d" w) baseline bytes)
     [ 2; 4 ]
@@ -291,7 +288,7 @@ let test_distributed_bit_identity () =
   let baseline =
     json_bytes
       (campaign_series
-         (fold_results (Campaign.run ~workers:1 spec).Campaign.results))
+         (fold_results (Campaign.run ~workers:1 spec).Campaign.cells))
   in
   let plan =
     match Service_chaos.parse "corrupt-frame:0.06+dup-frame:0.04+seed:5" with
@@ -396,6 +393,45 @@ let test_status_atomic_under_reader () =
   Sys.remove path;
   Sys.remove (path ^ ".prom")
 
+(* Both `treeaa campaign --status-out` paths write a file `treeaa status`
+   reads the same way: a string format_version the telemetry gate
+   accepts, and every cell counted as computed by this run. *)
+let test_cli_status_files () =
+  List.iter
+    (fun mode ->
+      let path = Filename.temp_file "aat-cli-status" ".json" in
+      let args =
+        [ "../bin/treeaa_cli.exe"; "campaign"; "-p"; "realaa"; "-i";
+          "linspace:100"; "-n"; "5"; "-t"; "1"; "--reps"; "4"; "--seed"; "9";
+          "-o"; Filename.null; "--status-out"; path ]
+        @ mode
+      in
+      let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+      let pid =
+        Unix.create_process (List.hd args) (Array.of_list args) Unix.stdin null
+          null
+      in
+      Unix.close null;
+      let what = String.concat " " mode in
+      (match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.failf "treeaa campaign %s failed" what);
+      let json =
+        match Json.of_string (String.trim (read_file path)) with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "%s status: %s" what e
+      in
+      check (what ^ ": format_version accepted") true
+        (Telemetry.check_format_version json = Ok ());
+      let count name = Option.bind (Json.member name json) Json.to_int in
+      check_int (what ^ ": cells_total") 4
+        (Option.value ~default:(-1) (count "cells_total"));
+      check (what ^ ": computed = cells_total") true
+        (count "computed" = count "cells_total");
+      Sys.remove path;
+      Sys.remove (path ^ ".prom"))
+    [ [ "--workers"; "2" ]; [ "--distributed"; "2" ] ]
+
 (* ------------------------------------------------------------------ *)
 (* trace well-formedness *)
 
@@ -479,5 +515,7 @@ let () =
           Alcotest.test_case "status file under concurrent reader" `Slow
             test_status_atomic_under_reader;
           Alcotest.test_case "trace well-formed" `Slow test_trace_well_formed;
+          Alcotest.test_case "CLI status files, both paths" `Slow
+            test_cli_status_files;
         ] );
     ]

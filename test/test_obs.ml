@@ -208,28 +208,23 @@ let test_spec_drift_detected () =
 (* ------------------------------------------------------------------ *)
 (* failing campaign cells emit replayable repro records *)
 
-let test_repro_records_replay () =
-  (* wedge at t >= n/3: genuinely Violated cells, by design *)
-  let spec =
-    {
-      Campaign.Spec.name = "obs-wedge";
-      protocol = Campaign.Spec.Path_aa;
-      tree = Campaign.Spec.Path_tree (Campaign.Spec.Exactly 7);
-      n = Campaign.Spec.Exactly 7;
-      t_budget = Campaign.Spec.Fixed_t 3;
-      inputs = Campaign.Spec.Random_vertices;
-      adversary = Campaign.Spec.Gradecast_wedge;
-      faults = Campaign.Spec.No_faults;
-      watchdogs = true;
-      repetitions = 4;
-      base_seed = 3;
-    }
-  in
-  let result = Campaign.run spec in
-  check "wedge produced violations" true (result.Campaign.aggregate.violations > 0);
-  let repros = Recorder.failing_cells result in
-  check_int "one repro per violated cell" result.Campaign.aggregate.violations
-    (List.length repros);
+(* wedge at t >= n/3: genuinely Violated cells, by design *)
+let wedge_spec =
+  {
+    Campaign.Spec.name = "obs-wedge";
+    protocol = Campaign.Spec.Path_aa;
+    tree = Campaign.Spec.Path_tree (Campaign.Spec.Exactly 7);
+    n = Campaign.Spec.Exactly 7;
+    t_budget = Campaign.Spec.Fixed_t 3;
+    inputs = Campaign.Spec.Random_vertices;
+    adversary = Campaign.Spec.Gradecast_wedge;
+    faults = Campaign.Spec.No_faults;
+    watchdogs = true;
+    repetitions = 4;
+    base_seed = 3;
+  }
+
+let replay_repros repros =
   List.iter
     (fun (task, repro) ->
       check "repro records carry no events" true
@@ -248,6 +243,63 @@ let test_repro_records_replay () =
               Alcotest.failf "repro %d diverged: %a" task Replay.pp_divergence
                 d))
     repros
+
+let test_repro_records_replay () =
+  let result = Campaign.run wedge_spec in
+  check "wedge produced violations" true (result.Campaign.aggregate.violations > 0);
+  let repros = Recorder.failing_cells result in
+  check_int "one repro per violated cell" result.Campaign.aggregate.violations
+    (List.length repros);
+  replay_repros repros
+
+(* Failing-cell selection on the JSON cell form picks exactly the tasks
+   the typed rule picks — graded [Violated] or run [Errored] — over the
+   wedge grid, where every cell is violated, and over fault grids, where
+   lossy plans and budget-exceeding crashes turn failed verdicts into
+   excused ones that must not be picked. *)
+let typed_failing (spec : Campaign.Spec.t) =
+  let seeds =
+    Campaign.task_seeds ~base_seed:spec.base_seed ~count:spec.repetitions
+  in
+  List.filter
+    (fun task ->
+      let runner, engine_seed = Campaign.instantiate spec ~task_seed:seeds.(task) in
+      let o = runner.Runner.run ~seed:engine_seed () in
+      (match o.Runner.grade with Verdict.Violated _ -> true | _ -> false)
+      || match o.Runner.status with Runner.Errored _ -> true | _ -> false)
+    (List.init spec.repetitions Fun.id)
+
+let test_failing_cells_differential () =
+  let chaos intensity (s : Campaign.Spec.t) =
+    { s with Campaign.Spec.faults = Campaign.Spec.Chaos { intensity } }
+  in
+  let picked = ref 0 in
+  List.iter
+    (fun (spec : Campaign.Spec.t) ->
+      let repros = Recorder.failing_cells (Campaign.run ~workers:2 spec) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s (%s)" spec.name
+           (match spec.faults with
+           | Campaign.Spec.Chaos { intensity } -> Printf.sprintf "chaos %g" intensity
+           | Campaign.Spec.Fault_plan p -> Fault_plan_io.to_string p
+           | Campaign.Spec.No_faults -> "no faults"))
+        (typed_failing spec) (List.map fst repros);
+      picked := !picked + List.length repros;
+      replay_repros repros)
+    ([
+       wedge_spec;
+       chaos 0.3 { wedge_spec with repetitions = 8 };
+       {
+         wedge_spec with
+         Campaign.Spec.faults =
+           Campaign.Spec.Fault_plan
+             (ok_or_fail "fault plan" (Fault_plan_io.parse "crash:1@2"));
+       };
+     ]
+    @ List.map
+        (fun seed -> chaos 0.8 { (spec_of_seed seed) with repetitions = 4 })
+        [ 1; 2; 3; 4; 5; 6 ]);
+  check "some cells were picked" true (!picked > 0)
 
 (* a benign campaign emits no repros *)
 let test_no_repros_when_clean () =
@@ -501,6 +553,8 @@ let () =
         [
           Alcotest.test_case "failing cells replay" `Quick
             test_repro_records_replay;
+          Alcotest.test_case "JSON and typed failing rules agree" `Quick
+            test_failing_cells_differential;
           Alcotest.test_case "clean campaign emits none" `Quick
             test_no_repros_when_clean;
         ] );
